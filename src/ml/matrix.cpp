@@ -2,8 +2,9 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cmath>
-#include <cstring>
+#include <cstdint>
 
 #include "common/parallel.hpp"
 
@@ -21,8 +22,9 @@ namespace {
 // ordering is the whole protocol — readers only ever pick a code path, and
 // both paths produce bit-identical results, so no mutex and no GUARDED_BY.
 // The other concurrency-adjacent state in this TU is likewise lock-free by
-// construction: tile_kernel's function-local statics resolve through the
-// C++11 magic-statics guarantee, and the pack scratch is thread_local.
+// construction: the kernel table is a function-local static resolved
+// through the C++11 magic-statics guarantee, and the pack scratch is
+// thread_local to the calling thread (workers only get disjoint slices).
 std::atomic<KernelMode> g_kernel_mode{KernelMode::kFast};
 
 /// Scale-or-clear prologue shared by both matmul paths: C = beta * C.
@@ -91,32 +93,53 @@ void matmul_reference(const Matrix& a, bool trans_a, const Matrix& b, bool trans
 
 namespace {
 
-// ---------------------------------------------------------------- blocked
-// The fast path packs alpha * op(A) into a row-major m x k panel and op(B)
-// into a row-major k x n panel, then runs a register-tiled kernel over
-// MR-row output blocks. Bit-identity with the reference loop holds because
-// every C element still accumulates its terms in ascending-p order with
-// the identical `scaled A operand == 0 -> skip` test on the identical
-// float value — blocking, packing, register accumulation, and row
-// parallelism only change WHERE the operands are read from and which
-// thread owns a row, never the per-element float operation sequence.
+// ------------------------------------------------------------- fast path
+// Every call reads op(B) — the weight matrix, on every inference call —
+// from memory once. Two loop nests keep that property:
 //
-// Two kernel flavours exist, chosen per call:
+//  * Blocked (m >= kMR). op(B) is cut into column blocks whose k x NC
+//    panel fits in L2 (kPanelBytes). Each block is packed once into
+//    kNR-wide strips (k x kNR contiguous floats, the last strip padded
+//    with zeros), and every kMR-row block of A runs against the whole
+//    panel before the next block is packed. alpha * op(A) is packed once
+//    per call into kMR-row blocks, p-major inside a block, the last block
+//    padded with zero rows. An MR x NR tile of C lives in acc[][] across
+//    the whole k loop, so each C element is loaded and stored once; edge
+//    tiles run through a full-size scratch tile, so one kernel serves
+//    every shape.
+//  * Streaming (m < kMR with B untransposed: single queries and small
+//    serving batches). Too few rows to fill a register tile, so the loop
+//    walks B, in place, row by row and adds each row, scaled, into all m
+//    rows of C. It keeps the reference's zero-skip literally, so it needs
+//    no finiteness test: a zero activation skips a whole row update, and a
+//    row of B whose m activations are all zero is never read. (A
+//    transposed B has no contiguous rows to stream; its rare small batches,
+//    a training epoch's last few samples, take the blocked path.)
+//
+// Bit-identity with the reference loop holds because every C element
+// still accumulates its terms in ascending-p order on one thread, with the
+// identical `scaled A operand == 0 -> skip` test on the identical float
+// value. Blocking, packing and the column split only change where the
+// operands are read from and which thread owns a column.
+//
+// The blocked tile comes in two flavours, chosen per panel:
 //
 //  * SKIP: keeps the reference's `v != 0.0f` branch. Always bit-safe, but
 //    ReLU/dropout-zeroed operands (~50% zeros, randomly placed) make that
 //    branch unpredictable, and the mispredict costs more than the NR
 //    multiply-adds it skips.
 //  * NOSKIP: no branch — zero terms are multiplied through. This is
-//    bit-identical to skipping *provided* beta == 0 and the B panel is
-//    free of inf/NaN: accumulators then start at +0.0f and addition of
-//    finite values can only produce -0.0f from (-0.0f)+(-0.0f), which is
+//    bit-identical to skipping *provided* beta == 0 and the panel is free
+//    of inf/NaN: accumulators then start at +0.0f and addition of finite
+//    values can only produce -0.0f from (-0.0f)+(-0.0f), which is
 //    unreachable from a +0.0f start, so the extra `acc += 0.0f*b` terms
 //    (`== ±0.0f`) never change a single bit, and with no infinities the
 //    0*inf -> NaN hazard the skip exists to prevent cannot occur. Every
 //    nonzero term is the same multiply and add as the reference's.
-//    matmul_blocked probes both preconditions and falls back to SKIP when
-//    either fails, so the documented zero-skip contract always holds.
+//    The panel pack tests every element's exponent field (all ones means
+//    inf or NaN) in the same pass that copies it, and a poisoned panel
+//    falls back to SKIP, so the documented zero-skip contract always
+//    holds.
 //
 // (A pack-time nonzero-compaction variant — per-row (p, value) streams —
 // was prototyped for the sparse operands and measured several times
@@ -125,211 +148,237 @@ namespace {
 // NR-column strip.)
 constexpr std::size_t kMR = 8;
 constexpr std::size_t kNR = 32;
+/// Byte budget of one packed k x NC panel of op(B): inside the L2 of any
+/// recent x86-64 core, with room left for the A block and the C tiles.
+constexpr std::size_t kPanelBytes = std::size_t{256} << 10;
+/// A worker should shoulder a few MFLOP before its spawn pays for itself.
+constexpr std::size_t kMinFlopsPerWorker = std::size_t{4} << 20;
 
-// The kernel body is stamped out once per SIMD level and skip flavour
-// below. Plain loops only: the per-target function attributes let the
-// auto-vectorizer use wider registers without intrinsics. fp-contract is
-// forced off in the fast-path attributes because a fused multiply-add
-// rounds once where the reference's separate multiply and add round twice
-// — FMA contraction would silently break bit-identity
-// (tests/test_matmul_kernel.cpp catches this on random data).
-//
-// An MR x NR tile of C lives in acc[][] across the whole k loop, so each
-// C element is loaded and stored once instead of once per p (a streaming
-// kernel is store-port-bound). ZSKIP(v) is `(v) != 0.0f` for the SKIP
-// flavour and `true` for NOSKIP.
-#define AIRCH_MATMUL_TILE_BODY(ZSKIP)                                                   \
-  for (std::size_t i = rb; i + kMR <= re; i += kMR) {                                   \
-    for (std::size_t j0 = 0; j0 + kNR <= n; j0 += kNR) {                                \
-      float acc[kMR][kNR];                                                              \
-      for (std::size_t t = 0; t < kMR; ++t)                                             \
-        for (std::size_t j = 0; j < kNR; ++j) acc[t][j] = c[(i + t) * n + j0 + j];      \
-      for (std::size_t p = 0; p < k; ++p) {                                             \
-        const float* bp = bpack + p * n + j0;                                           \
-        for (std::size_t t = 0; t < kMR; ++t) {                                         \
-          const float v = apack[(i + t) * k + p];                                       \
-          if (ZSKIP(v))                                                                 \
-            for (std::size_t j = 0; j < kNR; ++j) acc[t][j] += v * bp[j];               \
-        }                                                                               \
-      }                                                                                 \
-      for (std::size_t t = 0; t < kMR; ++t)                                             \
-        for (std::size_t j = 0; j < kNR; ++j) c[(i + t) * n + j0 + j] = acc[t][j];      \
-    }                                                                                   \
-    const std::size_t jt = (n / kNR) * kNR;                                             \
-    if (jt < n) {                                                                       \
-      for (std::size_t p = 0; p < k; ++p) {                                             \
-        const float* bp = bpack + p * n;                                                \
-        for (std::size_t t = 0; t < kMR; ++t) {                                         \
-          const float v = apack[(i + t) * k + p];                                       \
-          float* cr = c + (i + t) * n;                                                  \
-          if (ZSKIP(v))                                                                 \
-            for (std::size_t j = jt; j < n; ++j) cr[j] += v * bp[j];                    \
-        }                                                                               \
-      }                                                                                 \
-    }                                                                                   \
-  }                                                                                     \
-  for (std::size_t i = re - (re - rb) % kMR; i < re; ++i) {                             \
-    const float* ar = apack + i * k;                                                    \
-    float* cr = c + i * n;                                                              \
-    for (std::size_t p = 0; p < k; ++p) {                                               \
-      const float v = ar[p];                                                            \
-      if (!ZSKIP(v)) continue;                                                          \
-      const float* bp = bpack + p * n;                                                  \
-      for (std::size_t j = 0; j < n; ++j) cr[j] += v * bp[j];                           \
-    }                                                                                   \
+/// One call's operands, shared read-only by every worker.
+struct Gemm {
+  const float* a;
+  const float* b;
+  float* c;
+  std::size_t lda, ldb;  ///< row strides of A and B as stored
+  std::size_t m, k, n;   ///< op(A) is m x k, op(B) is k x n
+  bool trans_a, trans_b;
+  float alpha;
+  bool beta_zero;
+  const float* apack;  ///< blocked path: packed alpha * op(A)
+};
+
+/// A float's exponent field; all ones (== kExponentMask) means inf or NaN.
+/// The pack loops fold its running max into the copy — an integer max
+/// reduction, which vectorizes where a bool `|=` does not.
+constexpr std::uint32_t kExponentMask = 0x7f800000U;
+inline std::uint32_t exponent_bits(float x) {
+  return std::bit_cast<std::uint32_t>(x) & kExponentMask;
+}
+
+// The loop nests are stamped out once per SIMD level below. Plain loops
+// only: the per-target function attributes let the auto-vectorizer use
+// wider registers without intrinsics. fp-contract is forced off because a
+// fused multiply-add rounds once where the reference's separate multiply
+// and add round twice — FMA contraction would silently break bit-identity
+// (tests/test_matmul_kernel.cpp catches this on random data). TAKE is
+// `v != 0.0f` for the SKIP flavour and `true` for NOSKIP.
+#define AIRCH_MATMUL_TILES(TAKE)                                                      \
+  for (std::size_t ib = 0; ib * kMR < g.m; ++ib) {                                     \
+    const float* ap = g.apack + ib * kMR * k;                                          \
+    const std::size_t rows = std::min(kMR, g.m - ib * kMR);                            \
+    for (std::size_t s = 0; s < strips; ++s) {                                         \
+      const float* bp = panel + s * k * kNR;                                           \
+      const std::size_t cols = std::min(kNR, w - s * kNR);                             \
+      float* const c_tile = g.c + ib * kMR * g.n + jb + s * kNR;                       \
+      const bool partial = rows < kMR || cols < kNR;                                   \
+      float edge[kMR * kNR];                                                           \
+      float* cp = c_tile;                                                              \
+      std::size_t ldc = g.n;                                                           \
+      if (partial) {                                                                   \
+        std::fill(edge, edge + kMR * kNR, 0.0f);                                       \
+        for (std::size_t t = 0; t < rows; ++t)                                         \
+          std::copy(c_tile + t * g.n, c_tile + t * g.n + cols, edge + t * kNR);        \
+        cp = edge;                                                                     \
+        ldc = kNR;                                                                     \
+      }                                                                                \
+      float acc[kMR][kNR];                                                             \
+      for (std::size_t t = 0; t < kMR; ++t)                                            \
+        for (std::size_t j = 0; j < kNR; ++j) acc[t][j] = cp[t * ldc + j];             \
+      for (std::size_t p = 0; p < k; ++p) {                                            \
+        const float* br = bp + p * kNR;                                                \
+        for (std::size_t t = 0; t < kMR; ++t) {                                        \
+          const float v = ap[p * kMR + t];                                             \
+          if (TAKE)                                                                    \
+            for (std::size_t j = 0; j < kNR; ++j) acc[t][j] += v * br[j];              \
+        }                                                                              \
+      }                                                                                \
+      for (std::size_t t = 0; t < kMR; ++t)                                            \
+        for (std::size_t j = 0; j < kNR; ++j) cp[t * ldc + j] = acc[t][j];             \
+      if (partial) {                                                                   \
+        for (std::size_t t = 0; t < rows; ++t)                                         \
+          std::copy(edge + t * kNR, edge + t * kNR + cols, c_tile + t * g.n);          \
+      }                                                                                \
+    }                                                                                  \
   }
 
-#define AIRCH_ZTEST(v) ((v) != 0.0f)
-#define AIRCH_ZALWAYS(v) true
+// Blocked: C[:, j0, j1) for every row. Per column block of up to nc
+// columns: pack the panel into `panel` (transposing a stored-transposed B
+// on the way) while testing exponents, then run every row block against it.
+#define AIRCH_MATMUL_BLOCKED_BODY                                                      \
+  const std::size_t k = g.k;                                                           \
+  for (std::size_t jb = j0; jb < j1; jb += nc) {                                       \
+    const std::size_t w = std::min(nc, j1 - jb);                                       \
+    const std::size_t strips = (w + kNR - 1) / kNR;                                    \
+    std::uint32_t top_exponent = 0;                                                    \
+    for (std::size_t s = 0; s < strips; ++s) {                                         \
+      const std::size_t js = jb + s * kNR;                                             \
+      const std::size_t cols = std::min(kNR, w - s * kNR);                             \
+      for (std::size_t p = 0; p < k; ++p) {                                            \
+        const float* src = g.b + (g.trans_b ? js * g.ldb + p : p * g.ldb + js);        \
+        const std::size_t stride = g.trans_b ? g.ldb : 1;                              \
+        float* d = panel + s * k * kNR + p * kNR;                                      \
+        for (std::size_t j = 0; j < cols; ++j) {                                       \
+          d[j] = src[j * stride];                                                      \
+          top_exponent = std::max(top_exponent, exponent_bits(d[j]));                  \
+        }                                                                              \
+        std::fill(d + cols, d + kNR, 0.0f);                                            \
+      }                                                                                \
+    }                                                                                  \
+    if (g.beta_zero && top_exponent != kExponentMask) {                                \
+      AIRCH_MATMUL_TILES(true)                                                         \
+    } else {                                                                           \
+      AIRCH_MATMUL_TILES(v != 0.0f)                                                    \
+    }                                                                                  \
+  }
+
+// Streaming: C[:, j0, j1) for m < kMR rows of an untransposed B, read in
+// place.
+#define AIRCH_MATMUL_STREAM_BODY                                                       \
+  for (std::size_t p = 0; p < g.k; ++p) {                                              \
+    const float* br = g.b + p * g.ldb;                                                 \
+    for (std::size_t i = 0; i < g.m; ++i) {                                            \
+      const float v = g.alpha * (g.trans_a ? g.a[p * g.lda + i] : g.a[i * g.lda + p]); \
+      if (v == 0.0f) continue;                                                         \
+      float* cr = g.c + i * g.n;                                                       \
+      for (std::size_t j = j0; j < j1; ++j) cr[j] += v * br[j];                        \
+    }                                                                                  \
+  }
+
+#define AIRCH_MATMUL_KERNELS(isa, attrs)                                               \
+  attrs void blocked_##isa(const Gemm& g, std::size_t j0, std::size_t j1,              \
+                           std::size_t nc, float* panel) {                             \
+    AIRCH_MATMUL_BLOCKED_BODY                                                          \
+  }                                                                                    \
+  attrs void stream_##isa(const Gemm& g, std::size_t j0, std::size_t j1, std::size_t,  \
+                          float*) {                                                    \
+    AIRCH_MATMUL_STREAM_BODY                                                           \
+  }
+
+/// Computes C[:, j0, j1) of one call; nc is the column-block width and
+/// `panel` this worker's k x nc scratch (the streaming kernel needs neither).
+using KernelFn = void (*)(const Gemm&, std::size_t, std::size_t, std::size_t, float*);
+struct Kernels {
+  KernelFn blocked;
+  KernelFn stream;
+};
 
 #if defined(__x86_64__) && defined(__GNUC__) && !defined(__clang__)
-#define AIRCH_MATMUL_MULTIVERSION 1
-#else
-#define AIRCH_MATMUL_MULTIVERSION 0
-#endif
+AIRCH_MATMUL_KERNELS(avx512, __attribute__((target("avx512f,prefer-vector-width=512"),
+                                            optimize("fp-contract=off"))))
+AIRCH_MATMUL_KERNELS(avx2, __attribute__((target("avx2"), optimize("fp-contract=off"))))
+AIRCH_MATMUL_KERNELS(base, __attribute__((optimize("fp-contract=off"))))
 
-#if AIRCH_MATMUL_MULTIVERSION
-__attribute__((target("avx512f,prefer-vector-width=512"), optimize("fp-contract=off"))) void
-tile_skip_avx512(const float* apack, const float* bpack, float* c, std::size_t rb,
-                 std::size_t re, std::size_t k, std::size_t n) {
-  AIRCH_MATMUL_TILE_BODY(AIRCH_ZTEST)
-}
-
-__attribute__((target("avx2"), optimize("fp-contract=off"))) void tile_skip_avx2(
-    const float* apack, const float* bpack, float* c, std::size_t rb, std::size_t re,
-    std::size_t k, std::size_t n) {
-  AIRCH_MATMUL_TILE_BODY(AIRCH_ZTEST)
-}
-
-__attribute__((optimize("fp-contract=off"))) void tile_skip_base(
-    const float* apack, const float* bpack, float* c, std::size_t rb, std::size_t re,
-    std::size_t k, std::size_t n) {
-  AIRCH_MATMUL_TILE_BODY(AIRCH_ZTEST)
-}
-
-__attribute__((target("avx512f,prefer-vector-width=512"), optimize("fp-contract=off"))) void
-tile_noskip_avx512(const float* apack, const float* bpack, float* c, std::size_t rb,
-                   std::size_t re, std::size_t k, std::size_t n) {
-  AIRCH_MATMUL_TILE_BODY(AIRCH_ZALWAYS)
-}
-
-__attribute__((target("avx2"), optimize("fp-contract=off"))) void tile_noskip_avx2(
-    const float* apack, const float* bpack, float* c, std::size_t rb, std::size_t re,
-    std::size_t k, std::size_t n) {
-  AIRCH_MATMUL_TILE_BODY(AIRCH_ZALWAYS)
-}
-
-__attribute__((optimize("fp-contract=off"))) void tile_noskip_base(
-    const float* apack, const float* bpack, float* c, std::size_t rb, std::size_t re,
-    std::size_t k, std::size_t n) {
-  AIRCH_MATMUL_TILE_BODY(AIRCH_ZALWAYS)
-}
-
-using TileKernelFn = void (*)(const float*, const float*, float*, std::size_t, std::size_t,
-                              std::size_t, std::size_t);
-
-TileKernelFn select_tile_kernel(bool noskip) {
-  if (__builtin_cpu_supports("avx512f")) return noskip ? tile_noskip_avx512 : tile_skip_avx512;
-  if (__builtin_cpu_supports("avx2")) return noskip ? tile_noskip_avx2 : tile_skip_avx2;
-  return noskip ? tile_noskip_base : tile_skip_base;
-}
-
-void tile_kernel(const float* apack, const float* bpack, float* c, std::size_t rb,
-                 std::size_t re, std::size_t k, std::size_t n, bool noskip) {
-  static const TileKernelFn skip_fn = select_tile_kernel(false);
-  static const TileKernelFn noskip_fn = select_tile_kernel(true);
-  (noskip ? noskip_fn : skip_fn)(apack, bpack, c, rb, re, k, n);
+Kernels select_kernels() {
+  if (__builtin_cpu_supports("avx512f")) return {blocked_avx512, stream_avx512};
+  if (__builtin_cpu_supports("avx2")) return {blocked_avx2, stream_avx2};
+  return {blocked_base, stream_base};
 }
 #else
 // Non-GCC / non-x86 builds: portable instantiations. Baseline targets
 // have no FMA instructions, so no explicit contraction suppression is
 // needed for bit-identity.
-void tile_kernel(const float* apack, const float* bpack, float* c, std::size_t rb,
-                 std::size_t re, std::size_t k, std::size_t n, bool noskip) {
-  if (noskip) {
-    AIRCH_MATMUL_TILE_BODY(AIRCH_ZALWAYS)
-  } else {
-    AIRCH_MATMUL_TILE_BODY(AIRCH_ZTEST)
-  }
-}
+AIRCH_MATMUL_KERNELS(base, )
+
+Kernels select_kernels() { return {blocked_base, stream_base}; }
 #endif
 
-#undef AIRCH_MATMUL_TILE_BODY
-#undef AIRCH_ZTEST
-#undef AIRCH_ZALWAYS
+#undef AIRCH_MATMUL_KERNELS
+#undef AIRCH_MATMUL_STREAM_BODY
+#undef AIRCH_MATMUL_BLOCKED_BODY
+#undef AIRCH_MATMUL_TILES
 
-void matmul_blocked(const Matrix& a, bool trans_a, const Matrix& b, bool trans_b, Matrix& c,
-                    float alpha, float beta) {
-  const std::size_t m = trans_a ? a.cols() : a.rows();
-  const std::size_t k = trans_a ? a.rows() : a.cols();
-  const std::size_t n = trans_b ? b.rows() : b.cols();
+std::size_t ceil_div(std::size_t x, std::size_t y) { return (x + y - 1) / y; }
 
-  // Panel scratch is per-thread and grow-only: steady-state training
-  // epochs re-run identical shapes, so packing allocates nothing after
-  // the first batch.
-  static thread_local std::vector<float> tl_apack;
-  static thread_local std::vector<float> tl_bpack;
-  if (tl_apack.size() < m * k) tl_apack.resize(m * k);
-  if (tl_bpack.size() < k * n) tl_bpack.resize(k * n);
-  float* apack = tl_apack.data();
-  float* bpack = tl_bpack.data();
-
-  // Pack alpha * op(A) row-major. Folding alpha here reproduces the
-  // reference's `a_val = alpha * a(...)` product exactly (same two
-  // operands, same single rounding), so the zero-skip test in the kernel
-  // sees the identical value.
-  if (!trans_a) {
-    for (std::size_t i = 0; i < m; ++i) {
-      const float* ar = a.row(i);
-      float* dst = apack + i * k;
-      for (std::size_t p = 0; p < k; ++p) dst[p] = alpha * ar[p];
-    }
-  } else {
+/// Packs alpha * op(A) for the blocked path: kMR-row blocks, p-major
+/// inside a block (element (i, p) at [(i/kMR*k + p)*kMR + i%kMR]), so the
+/// tile reads its kMR values of one p contiguously; rows past m are zero.
+/// Folding alpha here reproduces the reference's `a_val = alpha * a(...)`
+/// product exactly (same two operands, same single rounding), so the
+/// kernel's zero test sees the identical value.
+void pack_a(const Matrix& a, bool trans_a, std::size_t m, std::size_t k, float alpha,
+            float* dst) {
+  for (std::size_t ib = 0; ib * kMR < m; ++ib) {
     for (std::size_t p = 0; p < k; ++p) {
-      const float* ar = a.row(p);
-      for (std::size_t i = 0; i < m; ++i) apack[i * k + p] = alpha * ar[i];
+      for (std::size_t t = 0; t < kMR; ++t) {
+        const std::size_t i = ib * kMR + t;
+        dst[(ib * k + p) * kMR + t] = i < m ? alpha * (trans_a ? a(p, i) : a(i, p)) : 0.0f;
+      }
     }
   }
+}
 
-  // Pack op(B) row-major so the kernel's innermost j loop is contiguous
-  // for every transpose combination.
-  if (!trans_b) {
-    std::memcpy(bpack, b.data(), k * n * sizeof(float));
-  } else {
-    for (std::size_t j = 0; j < n; ++j) {
-      const float* br = b.row(j);
-      for (std::size_t p = 0; p < k; ++p) bpack[p * n + j] = br[p];
-    }
-  }
-
+void matmul_fast(const Matrix& a, bool trans_a, const Matrix& b, bool trans_b, Matrix& c,
+                 float alpha, float beta) {
+  const std::size_t m = c.rows();
+  const std::size_t n = c.cols();
+  const std::size_t k = trans_a ? a.rows() : a.cols();
   apply_beta(c, beta);
+  if (m == 0 || n == 0 || k == 0) return;
 
-  // NOSKIP eligibility probe (see the kernel comment for the proof): the
-  // branch-free kernel is bit-identical exactly when C starts at +0.0f
-  // (beta == 0) and the B panel is inf/NaN-free. `x - x` is +0.0f for
-  // every finite x and NaN for ±inf/NaN, so a poisoned panel makes the
-  // probe sum non-zero (NaN != 0). One flop per element, vectorizable,
-  // against the kernel's 2m flops per element.
-  float b_probe = 0.0f;
-  for (std::size_t i = 0; i < k * n; ++i) b_probe += bpack[i] - bpack[i];
-  const bool noskip = beta == 0.0f && b_probe == 0.0f;
+  // Scratch is grow-only and owned by the calling thread: steady-state
+  // training and serving re-run identical shapes, so nothing is allocated
+  // after the first call. Workers are fresh threads on every call, so they
+  // get slices of this thread's panel buffer rather than thread_locals of
+  // their own (which would mean a new mapping and page faults per call).
+  static thread_local std::vector<float> tl_apack;
+  static thread_local std::vector<float> tl_panels;
 
-  // Partition output rows across workers; each C row is owned by exactly
-  // one thread, so the parallel kernel is race-free and deterministic.
-  // Workers are capped so each shoulders a few MFLOP — below that the
-  // spawn/join overhead outweighs the concurrency.
-  constexpr std::size_t kMinFlopsPerWorker = std::size_t{4} << 20;
-  const std::size_t flops = 2 * m * k * n;
-  const auto workers = static_cast<unsigned>(std::min<std::size_t>(
-      hardware_threads(), std::max<std::size_t>(flops / kMinFlopsPerWorker, 1)));
-  float* cd = c.data();
-  if (workers <= 1) {
-    tile_kernel(apack, bpack, cd, 0, m, k, n, noskip);
-  } else {
-    parallel_for(m, workers, [apack, bpack, cd, k, n, noskip](std::size_t rb, std::size_t re) {
-      tile_kernel(apack, bpack, cd, rb, re, k, n, noskip);
-    });
+  const bool stream = m < kMR && !trans_b;
+  Gemm g{a.data(), b.data(), c.data(), a.cols(), b.cols(), m, k, n,
+         trans_a, trans_b, alpha, beta == 0.0f, nullptr};
+  if (!stream) {
+    const std::size_t apack_floats = ceil_div(m, kMR) * kMR * k;
+    if (tl_apack.size() < apack_floats) tl_apack.resize(apack_floats);
+    pack_a(a, trans_a, m, k, alpha, tl_apack.data());
+    g.apack = tl_apack.data();
   }
+
+  // Split columns, not rows: each worker owns a contiguous run of column
+  // blocks for every row, so op(B) is still read once in total and each
+  // C element still has exactly one owner. Workers are capped so each
+  // shoulders a few MFLOP, and blocks are narrowed when needed so every
+  // worker gets at least one.
+  std::size_t workers = std::min<std::size_t>(
+      hardware_threads(), std::max<std::size_t>(2 * m * k * n / kMinFlopsPerWorker, 1));
+  const std::size_t panel_cols = std::max(kNR, kPanelBytes / (k * sizeof(float)) / kNR * kNR);
+  const std::size_t nc = std::min(panel_cols, ceil_div(ceil_div(n, workers), kNR) * kNR);
+  const std::size_t blocks = ceil_div(n, nc);
+  workers = std::min(workers, blocks);
+  const std::size_t panel_floats = stream ? 0 : k * nc;
+  if (tl_panels.size() < workers * panel_floats) tl_panels.resize(workers * panel_floats);
+  float* const panels = tl_panels.data();
+
+  static const Kernels kernels = select_kernels();
+  const KernelFn kernel = stream ? kernels.stream : kernels.blocked;
+  if (workers == 1) {
+    kernel(g, 0, n, nc, panels);
+    return;
+  }
+  parallel_for(workers, static_cast<unsigned>(workers), [&](std::size_t w, std::size_t) {
+    const std::size_t j0 = std::min(n, w * blocks / workers * nc);
+    const std::size_t j1 = std::min(n, (w + 1) * blocks / workers * nc);
+    kernel(g, j0, j1, nc, panels + w * panel_floats);
+  });
 }
 
 }  // namespace
@@ -344,16 +393,11 @@ void matmul(const Matrix& a, bool trans_a, const Matrix& b, bool trans_b, Matrix
   (void)k2;
   AIRCH_DCHECK(c.rows() == m && c.cols() == n, "matmul output must be pre-sized to m x n");
 
-  // Tiny products (single-query inference, unit-test shapes) are dominated
-  // by the k x n B-panel pack; the reference loop is already optimal there
-  // unless op(B) is transposed (strided inner reads). Either path returns
-  // bit-identical results, so this is purely a latency dispatch.
-  const bool tiny = (m == 1 && !trans_b) || 2 * m * k * n < (std::size_t{1} << 15);
-  if (kernel_mode() == KernelMode::kNaive || tiny) {
+  if (kernel_mode() == KernelMode::kNaive) {
     matmul_reference(a, trans_a, b, trans_b, c, alpha, beta);
     return;
   }
-  matmul_blocked(a, trans_a, b, trans_b, c, alpha, beta);
+  matmul_fast(a, trans_a, b, trans_b, c, alpha, beta);
 }
 
 void add_row_broadcast(Matrix& y, const std::vector<float>& row) {

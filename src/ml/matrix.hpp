@@ -1,11 +1,13 @@
 #pragma once
 // Dense row-major float32 matrix — the numeric workhorse of the NN stack —
-// plus the training/inference kernel layer (docs/performance.md): a
-// cache-blocked, panel-packed, register-tiled matmul that parallelizes over
-// output-row blocks and dispatches to the widest SIMD level the CPU offers,
-// while staying bit-identical to the retained reference ikj loop (every C
-// element keeps its exact p-ascending float accumulation order, and the
-// zero-skip semantics for dropout/ReLU-zeroed activations are preserved).
+// plus the training/inference kernel layer (docs/performance.md): a matmul
+// that reads op(B) from memory once per call — column-blocked panels that
+// fit in L2 under a register-tiled kernel, or, for batches smaller than one
+// tile, a streaming row loop — splits columns across workers, and
+// dispatches to the widest SIMD level the CPU offers, while staying
+// bit-identical to the retained reference ikj loop (every C element keeps
+// its exact p-ascending float accumulation order, and the zero-skip
+// semantics for dropout/ReLU-zeroed activations are preserved).
 
 #include <cstddef>
 #include <functional>
@@ -72,8 +74,9 @@ KernelMode kernel_mode();
 
 /// C = alpha * op(A) * op(B) + beta * C, where op is optional transpose.
 /// Shapes are checked with assert; callers size C beforehand. Dispatches
-/// to the blocked kernel or the reference loop per kernel_mode(); results
-/// are bit-identical either way (property-tested in
+/// per kernel_mode() to the fast path (the blocked kernel for m >= 8 rows,
+/// the streaming loop below that) or to the reference loop; results are
+/// bit-identical either way (property-tested in
 /// tests/test_matmul_kernel.cpp).
 void matmul(const Matrix& a, bool trans_a, const Matrix& b, bool trans_b, Matrix& c,
             float alpha = 1.0f, float beta = 0.0f);

@@ -82,14 +82,22 @@ struct RecommenderService::Impl {
     return nullptr;
   }
 
-  void bump_errors() {
-    const MutexLock lock(stats_mu_);
-    ++stats_.errors;
+  // Each frame is counted BEFORE it is sent (see ServeStats): a client
+  // that reads stats() after receiving its reply must find it counted.
+  void send_reply(Socket& sock, const std::vector<std::int32_t>& labels) {
+    {
+      const MutexLock lock(stats_mu_);
+      ++stats_.requests;
+    }
+    sock.send_frame(encode_reply(labels));
   }
 
   void send_error(Socket& sock, const std::string& message) {
+    {
+      const MutexLock lock(stats_mu_);
+      ++stats_.errors;
+    }
     sock.send_frame(encode_error(message));
-    bump_errors();
   }
 
   // ------------------------------------------------------------- acceptor
@@ -183,9 +191,7 @@ struct RecommenderService::Impl {
         if (!error.empty()) {
           send_error(cs.sock, error);
         } else {
-          cs.sock.send_frame(encode_reply(labels));
-          const MutexLock lock(stats_mu_);
-          ++stats_.requests;
+          send_reply(cs.sock, labels);
         }
       }
     } catch (...) {

@@ -49,12 +49,16 @@ struct ServeOptions {
 };
 
 /// Service counters, readable while the service runs (stats() takes a
-/// snapshot under the stats lock).
+/// snapshot under the stats lock). Every count is taken before the frames
+/// it covers are sent, so a client that has received a reply or an error
+/// frame and then calls stats() always finds that frame counted. A frame
+/// whose send fails afterwards (the peer left) stays counted.
 struct [[nodiscard]] ServeStats {
-  std::uint64_t requests = 0;  ///< query frames answered with a reply
-  std::uint64_t queries = 0;   ///< individual feature vectors answered
-  std::uint64_t batches = 0;   ///< packed forward passes dispatched
-  std::uint64_t errors = 0;    ///< error frames sent
+  std::uint64_t requests = 0;  ///< reply frames sent, one per answered query frame
+  std::uint64_t queries = 0;   ///< feature vectors answered by successful forward passes
+  std::uint64_t batches = 0;   ///< packed forward passes that succeeded
+  std::uint64_t errors = 0;    ///< error frames sent: bad frame, unknown case, arity,
+                               ///< failed forward pass, or connection limit
   /// batch_size_log2_hist[b] = packed passes whose query count n had
   /// floor(log2(n)) == b (last bucket absorbs the tail): the shape of the
   /// admission batching under load, reported by bench_serve.

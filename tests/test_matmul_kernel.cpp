@@ -1,12 +1,15 @@
-// Bit-identity property suite for the blocked/packed matmul kernel
-// (src/ml/matrix.cpp) against the retained reference ikj loop, plus the
-// zero-skip contract pins and a concurrent-training stress that makes
-// `ctest -L tsan` exercise the row-parallel kernel with real threads.
+// Bit-identity property suite for the fast matmul (src/ml/matrix.cpp) —
+// the column-blocked, panel-packed kernel and the small-batch streaming
+// path — against the retained reference ikj loop, plus the zero-skip
+// contract pins and a concurrent-training stress that makes
+// `ctest -L tsan` exercise the column-parallel kernel with real threads.
 //
 // The fast path must match matmul_reference BIT FOR BIT on every shape,
 // transpose combination, and alpha/beta pair — including operands with
 // dropout/ReLU-style random zeros, which flip the kernel between its
-// branchy and branch-free flavours.
+// branchy and branch-free flavours. Every comparison runs at
+// AIRCH_THREADS=1 and 2, so both the single-worker pass and the column
+// split between workers are pinned.
 
 #include "ml/matrix.hpp"
 
@@ -17,6 +20,7 @@
 #include <cstring>
 #include <limits>
 #include <random>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -44,6 +48,26 @@ class KernelModeGuard {
   KernelMode saved_;
 };
 
+/// RAII override of AIRCH_THREADS (the matmul reads it per call), restoring
+/// the previous value — or its absence — on scope exit.
+class ThreadsGuard {
+ public:
+  explicit ThreadsGuard(const char* threads) {
+    if (const char* old = std::getenv("AIRCH_THREADS")) saved_ = old;
+    setenv("AIRCH_THREADS", threads, 1);
+  }
+  ~ThreadsGuard() {
+    if (saved_.empty()) {
+      unsetenv("AIRCH_THREADS");
+    } else {
+      setenv("AIRCH_THREADS", saved_.c_str(), 1);
+    }
+  }
+
+ private:
+  std::string saved_;
+};
+
 void fill_random(Matrix& m, std::mt19937& rng, double zero_fraction) {
   std::uniform_real_distribution<float> dist(-2.0f, 2.0f);
   std::bernoulli_distribution zero(zero_fraction);
@@ -57,6 +81,28 @@ bool bit_equal(const Matrix& x, const Matrix& y) {
          std::memcmp(x.data(), y.data(), x.size() * sizeof(float)) == 0;
 }
 
+/// Bit-compares the fast kernel against the reference on fixed operands
+/// and a shared C seed, at AIRCH_THREADS=1 and 2: one worker, and the
+/// column split between two workers wherever the shape is big enough.
+void expect_bit_identical(const Matrix& a, bool trans_a, const Matrix& b, bool trans_b,
+                          const Matrix& c_seed, float alpha, float beta) {
+  Matrix c_ref = c_seed;
+  matmul_reference(a, trans_a, b, trans_b, c_ref, alpha, beta);
+
+  for (const char* threads : {"1", "2"}) {
+    const ThreadsGuard threads_guard(threads);
+    Matrix c_fast = c_seed;
+    {
+      KernelModeGuard guard(KernelMode::kFast);
+      matmul(a, trans_a, b, trans_b, c_fast, alpha, beta);
+    }
+    ASSERT_TRUE(bit_equal(c_ref, c_fast))
+        << "m=" << c_seed.rows() << " k=" << (trans_a ? a.rows() : a.cols())
+        << " n=" << c_seed.cols() << " ta=" << trans_a << " tb=" << trans_b
+        << " alpha=" << alpha << " beta=" << beta << " threads=" << threads;
+  }
+}
+
 /// One randomized case: build op(A) (m x k), op(B) (k x n), a shared C
 /// seed, and bit-compare the fast kernel against the reference.
 void check_case(std::mt19937& rng, std::size_t m, std::size_t k, std::size_t n, bool trans_a,
@@ -67,18 +113,8 @@ void check_case(std::mt19937& rng, std::size_t m, std::size_t k, std::size_t n, 
   fill_random(b, rng, 0.0);
   Matrix c_seed(m, n);
   fill_random(c_seed, rng, 0.0);
-
-  Matrix c_ref = c_seed;
-  matmul_reference(a, trans_a, b, trans_b, c_ref, alpha, beta);
-
-  Matrix c_fast = c_seed;
-  {
-    KernelModeGuard guard(KernelMode::kFast);
-    matmul(a, trans_a, b, trans_b, c_fast, alpha, beta);
-  }
-  ASSERT_TRUE(bit_equal(c_ref, c_fast))
-      << "m=" << m << " k=" << k << " n=" << n << " ta=" << trans_a << " tb=" << trans_b
-      << " alpha=" << alpha << " beta=" << beta << " zf=" << zero_fraction;
+  SCOPED_TRACE(::testing::Message() << "zero fraction " << zero_fraction);
+  expect_bit_identical(a, trans_a, b, trans_b, c_seed, alpha, beta);
 }
 
 TEST(MatmulKernel, BitIdenticalOnRandomShapes) {
@@ -105,8 +141,9 @@ TEST(MatmulKernel, BitIdenticalOnRandomShapes) {
   }
 }
 
-TEST(MatmulKernel, BitIdenticalAboveTinyShapeCutoff) {
-  // Shapes big enough to engage the blocked kernel, panel tails included.
+TEST(MatmulKernel, BitIdenticalOnBlockedShapes) {
+  // Shapes with m >= 8 rows take the blocked kernel; row and strip tails
+  // included.
   std::mt19937 rng(7);
   struct Shape {
     std::size_t m, k, n;
@@ -118,6 +155,116 @@ TEST(MatmulKernel, BitIdenticalAboveTinyShapeCutoff) {
       check_case(rng, s.m, s.k, s.n, true, false, 1.0f, 0.0f, zf);
       check_case(rng, s.m, s.k, s.n, false, true, 0.5f, 0.3f, zf);
       if (HasFatalFailure()) return;
+    }
+  }
+}
+
+// ------------------------------------------------- loop structure
+// The shapes below are chosen against the kernel's loop nest: m < 8 rows
+// against an untransposed B take the streaming path, everything else the
+// blocked one; op(B) is cut into
+// column blocks of a fixed byte budget and 32-column strips, so n values
+// that are multiples of neither leave a partial block and a partial strip;
+// and at two threads the columns are split between workers (every case
+// runs at AIRCH_THREADS=1 and 2, see expect_bit_identical).
+
+TEST(MatmulKernel, ServedHeadShapesAtEveryBatchSize) {
+  // The three served output heads (256 hidden units -> 459 / 1000 / 1944
+  // classes) at every batch size around the streaming/blocked boundary and
+  // around a full serving batch, on ReLU-like activations.
+  std::mt19937 rng(2026);
+  const std::size_t batch_sizes[] = {1, 2, 3, 4, 5, 6, 7, 8, 9, 63, 64, 65};
+  for (const std::size_t n : {459, 1000, 1944}) {
+    for (const std::size_t m : batch_sizes) {
+      check_case(rng, m, 256, n, false, false, 1.0f, 0.0f, 0.5);
+      if (HasFatalFailure()) return;
+    }
+  }
+  // A streaming batch with enough work to split its columns between two
+  // workers.
+  check_case(rng, 4, 1944, 1024, false, false, 1.0f, 0.0f, 0.5);
+}
+
+TEST(MatmulKernel, ColumnTailsOffBlockAndStripBoundaries) {
+  // n = 1, 33 and 100 end in a partial 32-column strip. With the 256 KiB
+  // panel budget a column block is 192 columns wide at k = 300 and 1024 at
+  // k = 64, so n = 300 and 1025 also end in a partial block (k = 256 is
+  // covered by the served heads above). alpha/beta vary so the tails of
+  // both tile flavours are hit.
+  std::mt19937 rng(99);
+  for (const std::size_t k : {64, 300}) {
+    for (const std::size_t n : {1, 33, 100, 300, 1025}) {
+      for (const std::size_t m : {3, 8, 17}) {
+        check_case(rng, m, k, n, false, false, 1.0f, 0.0f, 0.5);
+        check_case(rng, m, k, n, false, false, -0.5f, 1.0f, 0.5);
+        if (HasFatalFailure()) return;
+      }
+    }
+  }
+}
+
+TEST(MatmulKernel, TransposedBWithKLargerThanOnePanel) {
+  // dX = dY * W^T for the case-3 head: k = 1944 classes, n = 256 hidden
+  // units, so op(B) is transposed while packing and a panel holds only a
+  // few strips. A transposed B has no rows to stream, so m = 4 takes the
+  // blocked path too, on zero-padded rows.
+  std::mt19937 rng(1944);
+  for (const std::size_t m : {4, 17}) {
+    check_case(rng, m, 1944, 256, false, true, 1.0f, 0.0f, 0.0);
+    check_case(rng, m, 1944, 256, false, true, 0.5f, 0.3f, 0.5);
+    if (HasFatalFailure()) return;
+  }
+  // Wide enough that m = 4 splits its columns between two workers.
+  check_case(rng, 4, 1944, 1024, false, true, 1.0f, 0.0f, 0.5);
+  // The dW = X^T * dY shape rides along: op(A) transposed.
+  check_case(rng, 64, 40, 1944, true, false, 1.0f, 0.0f, 0.5);
+}
+
+TEST(MatmulKernel, InfInOneColumnBlockOnly) {
+  // One infinite weight poisons one column of op(B); every other column
+  // stays finite. A zero activation row and ~50% zeros elsewhere make any
+  // wrongly multiplied-through 0 * inf show up as a NaN; wherever the inf
+  // sits, the result must equal the reference bit for bit, including the
+  // finite columns computed beside it.
+  std::mt19937 rng(31);
+  for (const std::size_t m : {4, 9}) {
+    for (const std::size_t col : {0, 300, 1943}) {
+      for (const bool trans_b : {false, true}) {
+        Matrix a(m, 256);
+        fill_random(a, rng, 0.5);
+        for (std::size_t p = 0; p < a.cols(); ++p) a(1, p) = 0.0f;
+        Matrix b(trans_b ? 1944 : 256, trans_b ? 256 : 1944);
+        fill_random(b, rng, 0.0);
+        const float inf = std::numeric_limits<float>::infinity();
+        if (trans_b) {
+          b(col, 17) = inf;
+        } else {
+          b(17, col) = inf;
+        }
+        const Matrix c_seed(m, 1944);
+        expect_bit_identical(a, false, b, trans_b, c_seed, 1.0f, 0.0f);
+        if (HasFatalFailure()) return;
+      }
+    }
+  }
+}
+
+TEST(MatmulKernel, FormerTinyShortcutShapes) {
+  // The smallest shapes — single rows, products of a few thousand flops —
+  // run the fast path too: there is no size cut-off to the reference loop.
+  std::mt19937 rng(5);
+  struct Shape {
+    std::size_t m, k, n;
+  };
+  const Shape shapes[] = {{1, 256, 459}, {1, 1, 1}, {2, 3, 5},    {1, 64, 256},
+                          {8, 8, 8},     {9, 4, 7}, {16, 16, 63}, {30, 20, 27}};
+  for (const auto& s : shapes) {
+    for (bool trans_a : {false, true}) {
+      for (bool trans_b : {false, true}) {
+        check_case(rng, s.m, s.k, s.n, trans_a, trans_b, 1.0f, 0.0f, 0.5);
+        check_case(rng, s.m, s.k, s.n, trans_a, trans_b, 0.5f, 0.3f, 0.0);
+        if (HasFatalFailure()) return;
+      }
     }
   }
 }
@@ -193,7 +340,7 @@ TEST(MatmulKernel, BetaPreservesNegativeZeroInC) {
 
 // Concurrent-training stress (tsan label): several threads each drive an
 // independent FeedForwardNet through training batches while the kernel
-// mode is kFast and AIRCH_THREADS forces the row-parallel matmul to fork
+// mode is kFast and AIRCH_THREADS forces the column-parallel matmul to fork
 // its own nested workers. Per-thread nets share no state, so TSan flags
 // any accidental sharing inside the kernel layer (packing scratch,
 // dispatch statics, worker handoff).

@@ -11,8 +11,9 @@
 //      matching outputs).
 //   3. The service end to end over real loopback sockets: replies
 //      bit-identical to in-process recommend_batch, error frames for bad
-//      requests (connection survives them), admission stats, the
-//      connection cap, and stop() idempotence.
+//      requests (connection survives them), admission stats and their
+//      count-before-send ordering, the connection cap, and stop()
+//      idempotence.
 
 #include <gtest/gtest.h>
 
@@ -316,6 +317,31 @@ TEST_F(ServeModel, ServiceAnswersUnknownCaseWithErrorAndSurvives) {
   const auto stats = service.stats();
   EXPECT_EQ(stats.errors, 1u);
   EXPECT_EQ(stats.requests, 1u);
+  service.stop();
+}
+
+TEST_F(ServeModel, StatsCountEachFrameBeforeTheClientSeesIt) {
+  // Counters are taken before the frame they count is sent, so a client
+  // that reads stats() right after a reply or an error frame must find it
+  // counted — exactly, on every one of many back-to-back round trips.
+  ServeOptions opts;
+  opts.batch_deadline_us = 0;  // no admission wait: rounds run back to back
+  RecommenderService service({{1, rec_.get()}}, opts);
+  service.start();
+  RecommenderClient client(service.port());
+  const auto queries = make_queries(2, 51);
+  const auto expected = rec_->recommend_batch(queries);
+  constexpr std::uint64_t kRounds = 1000;
+  for (std::uint64_t r = 1; r <= kRounds; ++r) {
+    ASSERT_EQ(client.recommend_batch(1, queries), expected);
+    auto stats = service.stats();
+    ASSERT_EQ(stats.requests, r) << "reply " << r << " not counted when received";
+    ASSERT_EQ(stats.errors, r - 1);
+    ASSERT_THROW(client.recommend_batch(3, queries), std::runtime_error);
+    stats = service.stats();
+    ASSERT_EQ(stats.errors, r) << "error frame " << r << " not counted when received";
+    ASSERT_EQ(stats.requests, r);
+  }
   service.stop();
 }
 
