@@ -3,8 +3,8 @@
 // RecommenderService in-process, and drives it with N concurrent client
 // threads over real loopback sockets. Reports per-request latency
 // percentiles (p50/p99/p999) and sustained QPS at each concurrency level,
-// plus the service's admission batch-size histogram — the shape of the
-// coalescing under load.
+// plus the service's pass-size histogram — how requests that queue on a
+// busy model coalesce under load.
 //
 // Two load modes:
 //   closed loop (default): each client fires its next request the moment
@@ -146,8 +146,6 @@ int main(int argc, char** argv) {
   args.flag_i64("requests", 200, "requests per client per level", 1, 1000000);
   args.flag_i64("batch", 4, "queries per request", 1, 4096);
   args.flag_str("levels", "1,4,16", "comma-separated client concurrency levels");
-  args.flag_i64("deadline-us", 200, "service admission-batch deadline");
-  args.flag_i64("batch-max", 64, "service admission-batch query cap");
   args.flag_f64("open-qps", 0.0, "aggregate open-loop request rate (0 = closed loop)");
   args.flag_i64("seed", 42, "dataset / model / query seed");
   args.flag_str("out", "BENCH_serve.json", "output JSON path");
@@ -196,8 +194,6 @@ int main(int argc, char** argv) {
   const Recommender* recs[3] = {&rec1, &rec2, &rec3};
 
   serve::ServeOptions sopts;
-  sopts.batch_deadline_us = args.i64("deadline-us");
-  sopts.batch_max = static_cast<std::size_t>(args.i64("batch-max"));
   sopts.max_connections = 256;
   serve::RecommenderService service({{1, &rec1}, {2, &rec2}, {3, &rec3}}, sopts);
   service.start();
@@ -314,9 +310,7 @@ int main(int argc, char** argv) {
   os << "{\n  \"bench\": \"serve\",\n  \"mode\": \""
      << (open_qps > 0.0 ? "open" : "closed") << "\",\n  \"threads\": "
      << args.i64("threads") << ",\n  \"requests_per_client\": " << requests
-     << ",\n  \"queries_per_request\": " << batch
-     << ",\n  \"batch_deadline_us\": " << sopts.batch_deadline_us
-     << ",\n  \"batch_max\": " << sopts.batch_max;
+     << ",\n  \"queries_per_request\": " << batch;
   if (open_qps > 0.0) os << ",\n  \"open_qps_target\": " << fmt(open_qps);
   os << ",\n  \"levels\": [\n";
   for (std::size_t i = 0; i < results.size(); ++i) {

@@ -15,7 +15,7 @@
 
 namespace airch {
 
-/// RAII thread for long-lived workers (the serving layer's dispatcher and
+/// RAII thread for long-lived workers (the serving layer's acceptor and
 /// per-connection loops): joins on destruction instead of calling
 /// std::terminate, so stack unwinding through a live worker is safe. The
 /// `raw-thread` lint rule keeps std::thread out of library code; spawning

@@ -33,12 +33,10 @@
 // annotated; anything genuinely outside the analysis carries
 // NO_THREAD_SAFETY_ANALYSIS plus a justification comment.
 
-#include <chrono>
 #include <condition_variable>  // airch-lint: allow(raw-mutex) — this IS the sync layer
 #include <cstddef>
 #include <mutex>               // airch-lint: allow(raw-mutex)
 #include <shared_mutex>        // airch-lint: allow(raw-mutex)
-#include <utility>
 
 #include "common/check.hpp"
 
@@ -266,41 +264,10 @@ class CondVar {
   CondVar& operator=(const CondVar&) = delete;
 
   /// Atomically releases `mu`, blocks, and re-acquires before returning.
-  /// Spurious wakeups happen; prefer the predicate overload.
+  /// Spurious wakeups happen: callers re-check their condition in a loop
+  /// that runs in the locked scope, so the capability analysis sees the
+  /// reads of GUARDED_BY state (a predicate lambda would hide them).
   void wait(Mutex& mu) REQUIRES(mu) { cv_.wait(mu); }
-
-  /// Waits until `pred()` holds. `pred` runs under `mu`.
-  template <typename Pred>
-  void wait(Mutex& mu, Pred pred) REQUIRES(mu) {
-    cv_.wait(mu, std::move(pred));
-  }
-
-  /// Timed predicate wait: returns pred() — false means the deadline
-  /// passed with the predicate still unsatisfied. The serving layer's
-  /// admission batching leans on this (wait until batch-full OR deadline).
-  template <typename Clock, typename Duration, typename Pred>
-  bool wait_until(Mutex& mu, const std::chrono::time_point<Clock, Duration>& deadline,
-                  Pred pred) REQUIRES(mu) {
-    return cv_.wait_until(mu, deadline, std::move(pred));
-  }
-
-  /// Predicate-free timed wait: returns false when the deadline passed
-  /// without a notify. Spurious wakeups return true; callers re-check
-  /// their condition in a loop. Library code holding GUARDED_BY state
-  /// prefers this flavor — the loop body runs in the locked scope, so the
-  /// capability analysis sees the reads (a predicate lambda would not).
-  template <typename Clock, typename Duration>
-  bool wait_until(Mutex& mu, const std::chrono::time_point<Clock, Duration>& deadline)
-      REQUIRES(mu) {
-    return cv_.wait_until(mu, deadline) == std::cv_status::no_timeout;
-  }
-
-  /// Relative-timeout flavor of wait_until.
-  template <typename Rep, typename Period, typename Pred>
-  bool wait_for(Mutex& mu, const std::chrono::duration<Rep, Period>& timeout,
-                Pred pred) REQUIRES(mu) {
-    return cv_.wait_for(mu, timeout, std::move(pred));
-  }
 
   void notify_one() noexcept { cv_.notify_one(); }
   void notify_all() noexcept { cv_.notify_all(); }

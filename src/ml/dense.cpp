@@ -10,9 +10,7 @@ DenseLayer::DenseLayer(std::size_t in_dim, std::size_t out_dim, Rng& rng)
     : in_dim_(in_dim),
       out_dim_(out_dim),
       w_(in_dim, out_dim),
-      b_(out_dim, 0.0f),
-      w_grad_(in_dim, out_dim),
-      b_grad_(out_dim, 0.0f) {
+      b_(out_dim, 0.0f) {
   if (in_dim == 0 || out_dim == 0) throw std::invalid_argument("zero-sized dense layer");
   w_.init_glorot(rng);
 }
@@ -40,6 +38,7 @@ Matrix DenseLayer::infer(const Matrix& x) const {
 Matrix DenseLayer::backward(const Matrix& grad_out) {
   AIRCH_ASSERT(grad_out.rows() == cached_input_.rows() && grad_out.cols() == out_dim_);
   // dW = x^T * dY ; db = column sums of dY ; dX = dY * W^T
+  if (w_grad_.empty()) w_grad_.resize(in_dim_, out_dim_);  // first backward
   matmul(cached_input_, true, grad_out, false, w_grad_);
   column_sums(grad_out, b_grad_);
   Matrix grad_in(grad_out.rows(), in_dim_);
@@ -48,7 +47,9 @@ Matrix DenseLayer::backward(const Matrix& grad_out) {
 }
 
 std::vector<ParamRef> DenseLayer::params() {
-  return {{w_.data(), w_grad_.data(), w_.size()}, {b_.data(), b_grad_.data(), b_.size()}};
+  const bool has_grads = !w_grad_.empty();
+  return {{w_.data(), has_grads ? w_grad_.data() : nullptr, w_.size()},
+          {b_.data(), has_grads ? b_grad_.data() : nullptr, b_.size()}};
 }
 
 std::vector<ConstParamRef> DenseLayer::params() const {

@@ -28,6 +28,8 @@ class DenseLayer final : public Layer {
   std::size_t out_dim_;
   Matrix w_;                    // in_dim x out_dim
   std::vector<float> b_;        // out_dim
+  // Gradients: empty until the first backward(), so a model that only
+  // infers (a loaded, served one) carries no gradient copy.
   Matrix w_grad_;
   std::vector<float> b_grad_;
   Matrix cached_input_;

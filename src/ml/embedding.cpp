@@ -11,13 +11,11 @@ EmbeddingBag::EmbeddingBag(std::vector<int> vocab_sizes, std::size_t dim, Rng& r
     : vocab_sizes_(std::move(vocab_sizes)), dim_(dim) {
   if (vocab_sizes_.empty() || dim_ == 0) throw std::invalid_argument("empty embedding spec");
   tables_.reserve(vocab_sizes_.size());
-  table_grads_.reserve(vocab_sizes_.size());
   for (int vocab : vocab_sizes_) {
     if (vocab < 1) throw std::invalid_argument("vocab size must be >= 1");
     Matrix t(static_cast<std::size_t>(vocab), dim_);
     t.init_glorot(rng);
     tables_.push_back(std::move(t));
-    table_grads_.emplace_back(static_cast<std::size_t>(vocab), dim_);
   }
 }
 
@@ -62,6 +60,9 @@ Matrix EmbeddingBag::infer(const IntBatch& indices) const {
 
 void EmbeddingBag::backward(const Matrix& grad_out) {
   AIRCH_ASSERT(grad_out.rows() == cached_indices_.rows && grad_out.cols() == output_dim());
+  if (table_grads_.empty()) {  // first backward
+    for (const Matrix& t : tables_) table_grads_.emplace_back(t.rows(), dim_);
+  }
   // The scatter is partitioned by FEATURE, not by row: feature f owns
   // table_grads_[f] exclusively, so concurrent workers never touch the
   // same gradient cell, and within a feature the rows are walked in
@@ -87,7 +88,8 @@ std::vector<ParamRef> EmbeddingBag::params() {
   std::vector<ParamRef> out;
   out.reserve(tables_.size());
   for (std::size_t f = 0; f < tables_.size(); ++f) {
-    out.push_back({tables_[f].data(), table_grads_[f].data(), tables_[f].size()});
+    float* grad = table_grads_.empty() ? nullptr : table_grads_[f].data();
+    out.push_back({tables_[f].data(), grad, tables_[f].size()});
   }
   return out;
 }

@@ -45,6 +45,7 @@ class EmbeddingBag {
   /// Accumulates gradients for the rows touched by the last forward().
   void backward(const Matrix& grad_out);
 
+  /// Parameter views; each grad is null until the first backward().
   std::vector<ParamRef> params();
   /// Read-only parameter views (serialization from a const model).
   std::vector<ConstParamRef> params() const;
@@ -57,7 +58,7 @@ class EmbeddingBag {
   std::vector<int> vocab_sizes_;
   std::size_t dim_;
   std::vector<Matrix> tables_;       // per feature: vocab x dim
-  std::vector<Matrix> table_grads_;  // same shapes
+  std::vector<Matrix> table_grads_;  // same shapes; empty until the first backward()
   IntBatch cached_indices_;
 };
 

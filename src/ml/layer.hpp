@@ -12,7 +12,10 @@
 namespace airch::ml {
 
 /// A view of one trainable parameter tensor and its gradient, consumed by
-/// optimizers. The pointed-to storage lives inside the layer.
+/// optimizers. The pointed-to storage lives inside the layer. Layers
+/// allocate gradient storage on their first backward(); until then `grad`
+/// is null, so a model that is only loaded and served carries no gradient
+/// copy (optimizers reject a null grad).
 struct ParamRef {
   float* value = nullptr;
   float* grad = nullptr;
@@ -44,7 +47,8 @@ class Layer {
   /// dL/d(input). Must be called after forward() on the same batch.
   virtual Matrix backward(const Matrix& grad_out) = 0;
 
-  /// Trainable parameters (empty for stateless layers).
+  /// Trainable parameters (empty for stateless layers); each grad is null
+  /// until the first backward().
   virtual std::vector<ParamRef> params() { return {}; }
   /// Read-only parameter views (empty for stateless layers).
   virtual std::vector<ConstParamRef> params() const { return {}; }

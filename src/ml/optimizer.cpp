@@ -79,9 +79,18 @@ void adam_update(float* value, float* m, float* v, const float* grad, std::size_
 
 #undef AIRCH_ADAM_BODY
 
+/// A null grad means the owning layer has not run backward() yet (see
+/// ParamRef): there is nothing to step on. Checked before any update.
+void require_grads(const std::vector<ParamRef>& params) {
+  for (const auto& p : params) {
+    AIRCH_CHECK(p.grad != nullptr, "optimizer step on a parameter with no gradient");
+  }
+}
+
 }  // namespace
 
 void Sgd::step(const std::vector<ParamRef>& params) {
+  require_grads(params);
   for (const auto& p : params) {
     for (std::size_t i = 0; i < p.size; ++i) {
       p.value[i] -= static_cast<float>(lr_) * p.grad[i];
@@ -90,6 +99,7 @@ void Sgd::step(const std::vector<ParamRef>& params) {
 }
 
 void SgdMomentum::step(const std::vector<ParamRef>& params) {
+  require_grads(params);
   if (velocity_.empty()) {
     velocity_.reserve(params.size());
     for (const auto& p : params) velocity_.emplace_back(p.size, 0.0f);
@@ -107,6 +117,7 @@ void SgdMomentum::step(const std::vector<ParamRef>& params) {
 }
 
 void Adam::step(const std::vector<ParamRef>& params) {
+  require_grads(params);
   if (m_.empty()) {
     m_.reserve(params.size());
     v_.reserve(params.size());

@@ -14,6 +14,8 @@ class Optimizer {
  public:
   virtual ~Optimizer() = default;
   /// Applies one update using the gradients currently stored in `params`.
+  /// Throws ContractViolation on a null grad (a layer before its first
+  /// backward()).
   virtual void step(const std::vector<ParamRef>& params) = 0;
 
   /// Learning-rate access for schedulers; changing it mid-training is

@@ -19,8 +19,8 @@
 //   kError: u32 byte count, then that many message bytes
 //
 // The protocol is deliberately request/response-per-frame: the SERVER
-// coalesces concurrent requests into admission batches (serve/server.hpp);
-// clients stay oblivious.
+// answers requests that queue on a busy model with one packed pass
+// (serve/server.hpp); clients stay oblivious.
 
 #include <cstddef>
 #include <cstdint>

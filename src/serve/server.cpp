@@ -1,11 +1,13 @@
 #include "serve/server.hpp"
 
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <exception>
 #include <list>
 #include <optional>
 #include <string>
+#include <thread>
 #include <utility>
 
 #include "common/check.hpp"
@@ -30,18 +32,27 @@ std::size_t log2_bucket(std::size_t n) {
 }  // namespace
 
 struct RecommenderService::Impl {
-  /// One in-flight request, shared between its connection thread (waits)
-  /// and the dispatcher (fills + notifies). Its lock is a kLeaf peer of
-  /// every other service lock: neither side holds anything else while
-  /// touching it.
+  /// One in-flight request, shared between its connection thread (waits,
+  /// then sends) and the leaders that answer it or hand it the lead. Its
+  /// lock is a kLeaf peer of every other service lock: nobody holds
+  /// another lock while touching it.
   struct Pending {
-    const Recommender* rec = nullptr;
     QueryFrame query;
     Mutex mu;
     CondVar cv;
     bool done GUARDED_BY(mu) = false;
+    bool lead GUARDED_BY(mu) = false;
     std::vector<std::int32_t> labels GUARDED_BY(mu);
     std::string error GUARDED_BY(mu);
+  };
+
+  /// One served model. `busy` is true while some thread leads the lane;
+  /// `queue` holds the requests for its next pass (empty when idle).
+  struct Lane {
+    const Recommender* rec = nullptr;  ///< null: this case is not served
+    Mutex mu;
+    std::vector<std::shared_ptr<Pending>> queue GUARDED_BY(mu);
+    bool busy GUARDED_BY(mu) = false;
   };
 
   struct ConnState {
@@ -58,28 +69,23 @@ struct RecommenderService::Impl {
     Thread thread;
   };
 
-  explicit Impl(std::vector<ServedModel> m, ServeOptions o)
-      : models(std::move(m)), options(o) {
+  Impl(const std::vector<ServedModel>& models, ServeOptions o) : options(o) {
     AIRCH_CHECK(!models.empty(), "service needs at least one model");
-    AIRCH_CHECK(options.batch_max >= 1, "batch_max must be >= 1");
-    AIRCH_CHECK(options.batch_deadline_us >= 0, "batch_deadline_us must be >= 0");
-    for (std::size_t i = 0; i < models.size(); ++i) {
-      AIRCH_CHECK(models[i].rec != nullptr, "null recommender in the model table");
-      AIRCH_CHECK(models[i].case_id >= 1 && models[i].case_id <= 3,
-                  "case id must be 1..3");
-      for (std::size_t j = 0; j < i; ++j) {
-        AIRCH_CHECK(models[j].case_id != models[i].case_id,
-                    "duplicate case id in the model table");
-      }
+    AIRCH_CHECK(options.accept_poll_ms >= 1, "accept_poll_ms must be >= 1");
+    for (const ServedModel& m : models) {
+      AIRCH_CHECK(m.rec != nullptr, "null recommender in the model table");
+      AIRCH_CHECK(m.case_id >= 1 && m.case_id <= 3, "case id must be 1..3");
+      Lane& lane = lanes[static_cast<std::size_t>(m.case_id - 1)];
+      AIRCH_CHECK(lane.rec == nullptr, "duplicate case id in the model table");
+      lane.rec = m.rec;
     }
     stats_.batch_size_log2_hist.assign(kHistBuckets, 0);
   }
 
-  const Recommender* find_model(int case_id) const {
-    for (const auto& m : models) {
-      if (m.case_id == case_id) return m.rec;
-    }
-    return nullptr;
+  Lane* find_lane(int case_id) {
+    if (case_id < 1 || case_id > static_cast<int>(lanes.size())) return nullptr;
+    Lane& lane = lanes[static_cast<std::size_t>(case_id - 1)];
+    return lane.rec != nullptr ? &lane : nullptr;
   }
 
   // Each frame is counted BEFORE it is sent (see ServeStats): a client
@@ -108,9 +114,12 @@ struct RecommenderService::Impl {
       try {
         sock = listener->accept_one(options.accept_poll_ms);
       } catch (...) {
-        break;  // listener torn down (stop) or fatal socket error
+        // accept() failed (EMFILE, ENFILE, ENOBUFS, ENOMEM, ...). The
+        // connection stays in the backlog: wait a poll period rather than
+        // spin, and retry, so a passing shortage cannot leave us deaf.
+        std::this_thread::sleep_for(std::chrono::milliseconds(options.accept_poll_ms));
       }
-      reap_finished();
+      reap_finished();  // a reaped connection also frees its fd
       if (!sock) continue;
       bool reject = false;
       {
@@ -162,29 +171,27 @@ struct RecommenderService::Impl {
           send_error(cs.sock, e.what());
           continue;
         }
-        const Recommender* rec = find_model(frame.query.case_id);
-        if (rec == nullptr) {
+        Lane* lane = find_lane(frame.query.case_id);
+        if (lane == nullptr) {
           send_error(cs.sock, "no model loaded for case " +
                                   std::to_string(frame.query.case_id));
           continue;
         }
-        if (frame.query.num_features != static_cast<std::size_t>(rec->num_features())) {
+        if (frame.query.num_features != static_cast<std::size_t>(lane->rec->num_features())) {
           // Arity is checked HERE, before the request can join a packed
-          // batch: recommend_batch would throw for the whole batch and
+          // pass: recommend_batch would throw for the whole pass and
           // take every coalesced neighbor down with it.
           send_error(cs.sock, "feature arity mismatch for case " +
                                   std::to_string(frame.query.case_id));
           continue;
         }
         auto pending = std::make_shared<Pending>();
-        pending->rec = rec;
         pending->query = std::move(frame.query);
-        enqueue(pending);
+        answer(*lane, pending);
         std::vector<std::int32_t> labels;
         std::string error;
         {
           const MutexLock lock(pending->mu);
-          while (!pending->done) pending->cv.wait(pending->mu);
           labels = std::move(pending->labels);
           error = std::move(pending->error);
         }
@@ -196,122 +203,127 @@ struct RecommenderService::Impl {
       }
     } catch (...) {
       // Torn connection (peer reset, or stop() shut the socket down
-      // mid-recv): drop it. In-flight state is owned by shared_ptrs, so
-      // the dispatcher can still complete a request whose client left.
+      // mid-recv or mid-send): drop it. A pass this thread led has
+      // already completed its requests and handed the lane on.
     }
     cs.done.store(true, std::memory_order_release);
   }
 
-  void enqueue(const std::shared_ptr<Pending>& pending) {
-    {
-      const MutexLock lock(queue_mu_);
-      if (queue_.empty()) first_arrival_ = std::chrono::steady_clock::now();
-      queue_.push_back(pending);
-      queued_queries_ += pending->query.num_queries();
-    }
-    queue_cv_.notify_all();
-  }
+  // ---------------------------------------------------------------- lanes
 
-  // ----------------------------------------------------------- dispatcher
-
-  void dispatch_loop() {
-    for (;;) {
-      std::vector<std::shared_ptr<Pending>> admitted;
+  /// Scope guard of a pass: on every exit path, and before the leader
+  /// sends its own reply, passes the lead to the request at the head of
+  /// the lane's queue, or marks the lane idle when nothing queued during
+  /// the pass. The lane lock is released before the request lock is
+  /// taken: the two never nest.
+  class HandOff {
+   public:
+    explicit HandOff(Lane& lane) : lane_(lane) {}
+    HandOff(const HandOff&) = delete;
+    HandOff& operator=(const HandOff&) = delete;
+    ~HandOff() {
+      std::shared_ptr<Pending> next;
       {
-        const MutexLock lock(queue_mu_);
-        while (queue_.empty() && !drain_) queue_cv_.wait(queue_mu_);
-        if (queue_.empty()) return;  // drain flagged and nothing left
-        // Admission window: take everything that arrives within
-        // batch_deadline_us of the FIRST pending request, or dispatch
-        // early the moment batch_max queries are queued. Requests that
-        // arrive after the swap start the next window.
-        const auto deadline =
-            first_arrival_ + std::chrono::microseconds(options.batch_deadline_us);
-        while (queued_queries_ < options.batch_max && !drain_) {
-          if (!queue_cv_.wait_until(queue_mu_, deadline)) break;
+        const MutexLock lock(lane_.mu);
+        if (lane_.queue.empty()) {
+          lane_.busy = false;
+          return;
         }
-        admitted.swap(queue_);
-        queued_queries_ = 0;
+        next = lane_.queue.front();
       }
-      run_batch(admitted);
+      {
+        const MutexLock lock(next->mu);
+        next->lead = true;
+      }
+      next->cv.notify_all();
     }
+
+   private:
+    Lane& lane_;
+  };
+
+  /// Returns once `pending` is done. Queues it on `lane`; if the lane was
+  /// idle, or once a finishing leader hands this request the lead, runs
+  /// one pass over everything queued, which includes `pending` itself.
+  /// Otherwise another leader's pass completes it.
+  void answer(Lane& lane, const std::shared_ptr<Pending>& pending) {
+    bool lead = false;
+    {
+      const MutexLock lock(lane.mu);
+      lane.queue.push_back(pending);
+      lead = !std::exchange(lane.busy, true);
+    }
+    if (!lead) {
+      const MutexLock lock(pending->mu);
+      while (!pending->done && !pending->lead) pending->cv.wait(pending->mu);
+      lead = pending->lead;
+    }
+    if (!lead) return;
+    std::vector<std::shared_ptr<Pending>> batch;
+    {
+      const MutexLock lock(lane.mu);
+      batch.swap(lane.queue);
+    }
+    const HandOff hand_off(lane);
+    run_batch(*lane.rec, batch);
   }
 
-  void run_batch(const std::vector<std::shared_ptr<Pending>>& admitted) {
-    // Group by model, preserving arrival order within each group; one
-    // packed forward pass per case study present in the window.
-    std::vector<const Recommender*> recs;
-    for (const auto& p : admitted) {
-      bool seen = false;
-      for (const Recommender* r : recs) seen = seen || r == p->rec;
-      if (!seen) recs.push_back(p->rec);
-    }
-    for (const Recommender* rec : recs) {
-      std::vector<Pending*> group;
-      std::vector<std::vector<std::int64_t>> queries;
-      for (const auto& p : admitted) {
-        if (p->rec != rec) continue;
-        group.push_back(p.get());
+  /// One packed recommend_batch over every request of `batch`, in arrival
+  /// order, then completes each request with its slice of the labels (or
+  /// the pass's error).
+  void run_batch(const Recommender& rec, const std::vector<std::shared_ptr<Pending>>& batch) {
+    std::vector<std::vector<std::int64_t>> queries;
+    std::vector<std::int32_t> labels;
+    std::string error;
+    try {
+      for (const auto& p : batch) {
         const std::size_t arity = p->query.num_features;
         for (std::size_t q = 0; q < p->query.num_queries(); ++q) {
           const auto* row = p->query.features.data() + q * arity;
           queries.emplace_back(row, row + arity);
         }
       }
-      std::vector<std::int32_t> labels;
-      std::string error;
-      try {
-        labels = rec->recommend_batch(queries);
-        AIRCH_CHECK(labels.size() == queries.size(),
-                    "recommend_batch returned a short result");
-      } catch (const std::exception& e) {
-        error = e.what();
-      }
-      if (error.empty()) {
-        const MutexLock lock(stats_mu_);
-        ++stats_.batches;
-        stats_.queries += queries.size();
-        ++stats_.batch_size_log2_hist[log2_bucket(queries.size())];
-      }
-      std::size_t offset = 0;
-      for (Pending* p : group) {
-        const std::size_t n = p->query.num_queries();
-        {
-          const MutexLock lock(p->mu);
-          if (error.empty()) {
-            p->labels.assign(labels.begin() + static_cast<std::ptrdiff_t>(offset),
-                             labels.begin() + static_cast<std::ptrdiff_t>(offset + n));
-          } else {
-            p->error = error;
-          }
-          p->done = true;
+      labels = rec.recommend_batch(queries);
+      AIRCH_CHECK(labels.size() == queries.size(), "recommend_batch returned a short result");
+    } catch (const std::exception& e) {
+      error = e.what();
+    }
+    if (error.empty()) {
+      const MutexLock lock(stats_mu_);
+      ++stats_.batches;
+      stats_.queries += queries.size();
+      ++stats_.batch_size_log2_hist[log2_bucket(queries.size())];
+    }
+    std::size_t offset = 0;
+    for (const auto& p : batch) {
+      const std::size_t n = p->query.num_queries();
+      {
+        const MutexLock lock(p->mu);
+        if (error.empty()) {
+          p->labels.assign(labels.begin() + static_cast<std::ptrdiff_t>(offset),
+                           labels.begin() + static_cast<std::ptrdiff_t>(offset + n));
+        } else {
+          p->error = error;
         }
-        p->cv.notify_all();
-        offset += n;
+        p->done = true;
       }
+      p->cv.notify_all();
+      offset += n;
     }
   }
 
   // -------------------------------------------------------------- members
 
-  const std::vector<ServedModel> models;
   const ServeOptions options;
+  std::array<Lane, 3> lanes;  ///< by case id - 1
 
   std::optional<Listener> listener;
   Thread acceptor;
-  Thread dispatcher;
   bool started = false;
   bool stopped = false;
   // Lock-free stop flag (escape hatch, not a capability): checked by the
   // acceptor between polls; no compound state rides on it.
   std::atomic<bool> stopping{false};
-
-  Mutex queue_mu_;
-  CondVar queue_cv_;
-  std::vector<std::shared_ptr<Pending>> queue_ GUARDED_BY(queue_mu_);
-  std::size_t queued_queries_ GUARDED_BY(queue_mu_) = 0;
-  std::chrono::steady_clock::time_point first_arrival_ GUARDED_BY(queue_mu_);
-  bool drain_ GUARDED_BY(queue_mu_) = false;
 
   Mutex conns_mu_;
   std::list<Conn> conns_ GUARDED_BY(conns_mu_);
@@ -321,7 +333,7 @@ struct RecommenderService::Impl {
 };
 
 RecommenderService::RecommenderService(std::vector<ServedModel> models, ServeOptions options)
-    : impl_(std::make_unique<Impl>(std::move(models), options)) {}
+    : impl_(std::make_unique<Impl>(models, options)) {}
 
 RecommenderService::~RecommenderService() { stop(); }
 
@@ -330,7 +342,6 @@ void RecommenderService::start() {
   impl_->started = true;
   impl_->listener.emplace();  // binds 127.0.0.1:<ephemeral>
   impl_->acceptor = Thread([impl = impl_.get()] { impl->accept_loop(); });
-  impl_->dispatcher = Thread([impl = impl_.get()] { impl->dispatch_loop(); });
 }
 
 void RecommenderService::stop() {
@@ -339,26 +350,16 @@ void RecommenderService::stop() {
   // 1. Stop accepting; the poll timeout bounds how long this join takes.
   impl_->stopping.store(true, std::memory_order_release);
   impl_->acceptor.join();
-  // 2. Unblock every connection's recv, then join the connection threads.
-  //    Requests already enqueued still complete: the dispatcher is alive
-  //    until step 3, and it drains the queue before exiting.
-  {
-    const MutexLock lock(impl_->conns_mu_);
-    for (auto& conn : impl_->conns_) conn.state->sock.shutdown_both();
-  }
+  // 2. Unblock every connection's recv and send, then join the connection
+  //    threads. Passes never block on a socket, so every queued request is
+  //    still answered and every lane handed on before a send fails.
   std::list<Impl::Conn> conns;
   {
     const MutexLock lock(impl_->conns_mu_);
+    for (auto& conn : impl_->conns_) conn.state->sock.shutdown_both();
     conns.swap(impl_->conns_);
   }
   conns.clear();  // Thread dtors join outside any lock
-  // 3. No producer is left; let the dispatcher drain and exit.
-  {
-    const MutexLock lock(impl_->queue_mu_);
-    impl_->drain_ = true;
-  }
-  impl_->queue_cv_.notify_all();
-  impl_->dispatcher.join();
 }
 
 int RecommenderService::port() const {

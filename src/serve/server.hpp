@@ -3,26 +3,27 @@
 // warm Recommender models (docs/performance.md, "Serving"). The paper's
 // pitch is constant-time inference; what a deployment actually runs is a
 // process that loads the trained models ONCE and answers a stream of
-// design queries. The service's job beyond plumbing is admission
-// batching: concurrent requests that arrive within a small window are
-// coalesced and answered by ONE packed recommend_batch forward pass per
-// case study, trading bounded queueing delay (batch_deadline_us) for the
-// batched-matmul throughput the kernels are built around.
+// design queries. An idle model answers a request at once, on the thread
+// that read it; requests that queue on a busy model share its next
+// packed recommend_batch forward pass.
 //
 // Threading model (all synchronization via common/sync.hpp, all threads
 // via common/parallel.hpp Thread):
 //   - acceptor thread: poll-based accept loop, spawns one thread per
-//     connection, reaps finished ones lazily.
-//   - connection threads: length-prefixed frame in, validate, enqueue,
-//     block on the request's own CondVar, frame out. Invalid requests are
-//     answered with an error frame BEFORE enqueueing, so one bad request
-//     can never poison a packed batch.
-//   - dispatcher thread: waits for the first queued request, then admits
-//     more until batch_max queries are pending or batch_deadline_us has
-//     elapsed since the first arrival; swaps the queue out, runs one
-//     forward pass per case study present, fans results back out.
+//     connection, reaps finished ones lazily. A failed accept() is
+//     retried after accept_poll_ms; only stop() ends the loop.
+//   - connection threads: length-prefixed frame in, validate, queue on
+//     the model's lane, frame out. Invalid requests are answered with an
+//     error frame BEFORE queueing, so one bad request can never poison a
+//     packed pass.
+//   - one lane per model: a queue and a busy flag. The thread that queues
+//     on an idle lane leads it: one pass over everything queued, then,
+//     before sending its own reply, it hands the lead to the head of the
+//     queue or marks the lane idle. Other requests wait on their own
+//     CondVar until a pass completes them or the lead reaches them.
+//     Lanes of different models run at the same time.
 //
-// The locks involved (queue, per-request, connection registry, stats) are
+// The locks involved (lane, per-request, connection registry, stats) are
 // peers — none is ever held while acquiring another — so they all sit at
 // the default kLeaf rank and the runtime rank registry enforces exactly
 // that.
@@ -37,12 +38,8 @@
 namespace airch::serve {
 
 struct ServeOptions {
-  /// Dispatch as soon as this many queries are pending...
-  std::size_t batch_max = 64;
-  /// ...or this many microseconds after the batch's first arrival,
-  /// whichever comes first. 0 = dispatch immediately (no coalescing).
-  std::int64_t batch_deadline_us = 200;
-  /// Acceptor poll granularity; bounds stop() latency, not request latency.
+  /// Acceptor poll granularity, and the wait before retrying a failed
+  /// accept(); bounds stop() latency, not request latency.
   int accept_poll_ms = 20;
   /// Connections beyond this are answered with an error frame and closed.
   std::size_t max_connections = 64;
@@ -60,8 +57,8 @@ struct [[nodiscard]] ServeStats {
   std::uint64_t errors = 0;    ///< error frames sent: bad frame, unknown case, arity,
                                ///< failed forward pass, or connection limit
   /// batch_size_log2_hist[b] = packed passes whose query count n had
-  /// floor(log2(n)) == b (last bucket absorbs the tail): the shape of the
-  /// admission batching under load, reported by bench_serve.
+  /// floor(log2(n)) == b (last bucket absorbs the tail): how requests
+  /// coalesce under load, reported by bench_serve.
   std::vector<std::uint64_t> batch_size_log2_hist;
 };
 
@@ -75,16 +72,18 @@ struct ServedModel {
 
 class RecommenderService {
  public:
-  /// Validates the model table (case ids 1..3, non-null, unique).
+  /// Validates the model table (case ids 1..3, non-null, unique) and the
+  /// options (accept_poll_ms >= 1).
   explicit RecommenderService(std::vector<ServedModel> models, ServeOptions options = {});
   ~RecommenderService();
   RecommenderService(const RecommenderService&) = delete;
   RecommenderService& operator=(const RecommenderService&) = delete;
 
-  /// Binds 127.0.0.1:<ephemeral> and spawns the acceptor + dispatcher.
+  /// Binds 127.0.0.1:<ephemeral> and spawns the acceptor.
   void start();
-  /// Drains in-flight requests, closes connections, joins every thread.
-  /// Idempotent; also run by the destructor.
+  /// Stops accepting, shuts every connection down, joins every thread. A
+  /// request already queued is still answered; only its reply's send
+  /// fails. Idempotent; also run by the destructor.
   void stop();
 
   /// Port clients connect to; valid after start().

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <utility>
+
+#include "common/check.hpp"
 #include "ml/activation.hpp"
 
 namespace airch::ml {
@@ -116,6 +120,43 @@ TEST(FeedForwardNet, ParamsCoverAllLayers) {
   EXPECT_EQ(net.params().size(), 6u);
   EXPECT_TRUE(net.has_embedding());
   EXPECT_EQ(net.num_classes(), 3u);
+}
+
+TEST(FeedForwardNet, LoadedNetCarriesNoGradientsUntilItTrains) {
+  // NeuralClassifier::load builds a fresh net and writes the saved weights
+  // through params(). A net loaded to serve never runs backward(), so it
+  // must not carry gradient storage: every grad stays null.
+  IntBatch x;
+  x.resize(2, 2);
+  x(0, 0) = 1;
+  x(0, 1) = 3;
+  x(1, 0) = 2;
+  x(1, 1) = 0;
+  const std::vector<std::int32_t> y = {0, 2};
+  Rng rng(21);
+  FeedForwardNet trained({4, 4}, 4, {8}, 3, rng);
+  Adam opt(0.01);
+  (void)trained.train_batch(x, y, opt);
+  for (const auto& p : trained.params()) EXPECT_NE(p.grad, nullptr);
+
+  Rng other(22);
+  FeedForwardNet loaded({4, 4}, 4, {8}, 3, other);
+  const auto saved = std::as_const(trained).params();
+  const auto params = loaded.params();
+  ASSERT_EQ(params.size(), saved.size());
+  for (std::size_t i = 0; i < params.size(); ++i) {
+    ASSERT_EQ(params[i].size, saved[i].size);
+    std::copy(saved[i].value, saved[i].value + saved[i].size, params[i].value);
+    EXPECT_EQ(params[i].grad, nullptr) << "tensor " << i;
+  }
+  EXPECT_EQ(loaded.predict(x), trained.predict(x));
+
+  // An optimizer step before any backward() is a contract violation, not
+  // a null dereference; the first backward() allocates the gradients.
+  Adam fresh(0.01);
+  EXPECT_THROW(fresh.step(loaded.params()), ContractViolation);
+  (void)loaded.train_batch(x, y, fresh);
+  for (const auto& p : loaded.params()) EXPECT_NE(p.grad, nullptr);
 }
 
 TEST(Sequential, ForwardBackwardShapes) {

@@ -11,16 +11,26 @@
 //      matching outputs).
 //   3. The service end to end over real loopback sockets: replies
 //      bit-identical to in-process recommend_batch, error frames for bad
-//      requests (connection survives them), admission stats and their
-//      count-before-send ordering, the connection cap, and stop()
-//      idempotence.
+//      requests (connection survives them), the lane contract (requests
+//      that queue on a busy model share one pass, a client that leaves
+//      strands nobody, two lanes serve at once, stop() mid-stream answers
+//      every queued request), stats and their count-before-send ordering,
+//      the connection cap, accepting again after a failed accept(), and
+//      stop() idempotence.
 
+#include <fcntl.h>
 #include <gtest/gtest.h>
+#include <sys/resource.h>
+#include <unistd.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
+#include <future>
 #include <memory>
+#include <optional>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "common/check.hpp"
@@ -181,6 +191,40 @@ class ServeModel : public ::testing::Test {
     return out;
   }
 
+  static QueryFrame to_frame(int case_id,
+                             const std::vector<std::vector<std::int64_t>>& queries) {
+    QueryFrame q;
+    q.case_id = case_id;
+    q.num_features = queries.front().size();
+    for (const auto& row : queries) q.features.insert(q.features.end(), row.begin(), row.end());
+    return q;
+  }
+
+  /// Sends a kHeadQueries-query request on a new connection and returns
+  /// without waiting for the reply. Its pass keeps the lane's leader busy
+  /// far longer than a client takes to send a small request (about 10 ms
+  /// in Release, seconds under TSan), so requests sent after it queue
+  /// behind it and share a later pass.
+  static serve::Socket send_head_request(int port, int case_id) {
+    serve::Socket sock = serve::connect_local(port);
+    sock.send_frame(encode_query(to_frame(case_id, head_queries())));
+    return sock;
+  }
+
+  /// Receives the head request's reply; true when it is bit-identical to
+  /// an in-process recommend_batch.
+  static bool head_reply_matches(serve::Socket& sock) {
+    const auto body = sock.recv_frame(serve::kMaxFrameBytes);
+    if (!body) return false;
+    const Frame f = decode_frame(body->data(), body->size());
+    return f.type == FrameType::kReply && f.labels == rec_->recommend_batch(head_queries());
+  }
+
+  static std::vector<std::vector<std::int64_t>> head_queries() {
+    return make_queries(kHeadQueries, 99);
+  }
+
+  static constexpr std::size_t kHeadQueries = 1024;
   static std::unique_ptr<ArrayDataflowStudy> study_;
   static std::unique_ptr<Recommender> rec_;
 };
@@ -258,10 +302,112 @@ TEST_F(ServeModel, ServiceRepliesBitIdenticalToDirectBatch) {
 }
 
 TEST_F(ServeModel, ServiceCoalescesConcurrentClients) {
-  ServeOptions opts;
-  opts.batch_deadline_us = 500;  // generous window so coalescing happens
-  opts.batch_max = 64;
-  RecommenderService service({{1, rec_.get()}}, opts);
+  RecommenderService service({{1, rec_.get()}});
+  service.start();
+  const int port = service.port();
+
+  constexpr int kClients = 8;
+  constexpr std::size_t kRequests = 10;
+  constexpr std::size_t kBatch = 4;
+  std::vector<RecommenderClient> clients;
+  for (int c = 0; c < kClients; ++c) clients.emplace_back(port);
+  // The clients start once the head request is on the wire, so their
+  // first requests queue behind its long pass and share the next one.
+  serve::Socket head = send_head_request(port, 1);
+  std::promise<void> head_sent;
+  const std::shared_future<void> start = head_sent.get_future().share();
+  std::atomic<int> failures{0};
+  {
+    std::vector<Thread> pool;
+    pool.reserve(kClients);
+    for (int c = 0; c < kClients; ++c) {
+      pool.emplace_back([&, c] {
+        start.wait();
+        try {
+          for (std::size_t r = 0; r < kRequests; ++r) {
+            const auto queries =
+                make_queries(kBatch, 100 + static_cast<std::uint64_t>(c) * 1000 + r);
+            if (clients[static_cast<std::size_t>(c)].recommend_batch(1, queries) !=
+                rec_->recommend_batch(queries)) {
+              failures.fetch_add(1);
+            }
+          }
+        } catch (const std::exception&) {
+          failures.fetch_add(1);
+        }
+      });
+    }
+    head_sent.set_value();
+  }
+  EXPECT_EQ(failures.load(), 0);
+  EXPECT_TRUE(head_reply_matches(head));
+
+  const auto stats = service.stats();
+  service.stop();
+  EXPECT_EQ(stats.requests, kClients * kRequests + 1);
+  EXPECT_EQ(stats.queries, kClients * kRequests * kBatch + kHeadQueries);
+  EXPECT_EQ(stats.errors, 0u);
+  // Coalescing means strictly fewer forward passes than requests, and the
+  // histogram must account for every pass.
+  EXPECT_GE(stats.batches, 1u);
+  EXPECT_LT(stats.batches, stats.requests);
+  std::uint64_t hist_total = 0;
+  for (const auto b : stats.batch_size_log2_hist) hist_total += b;
+  EXPECT_EQ(hist_total, stats.batches);
+}
+
+TEST_F(ServeModel, LaneSurvivesAClientThatLeavesRightAfterSending) {
+  // The leaver queues right behind the head request, so its connection
+  // thread is likely the one the lead passes to, with the other clients
+  // queued behind it. Whoever leads, the leaver's failed send comes after
+  // its pass and its hand-off: nobody is stranded.
+  RecommenderService service({{1, rec_.get()}});
+  service.start();
+  const int port = service.port();
+
+  constexpr int kClients = 8;
+  std::vector<RecommenderClient> clients;
+  for (int c = 0; c < kClients; ++c) clients.emplace_back(port);
+  serve::Socket head = send_head_request(port, 1);
+  {
+    serve::Socket leaver = serve::connect_local(port);
+    leaver.send_frame(encode_query(to_frame(1, make_queries(4, 71))));
+  }  // closed right after sending
+  std::promise<void> leaver_gone;
+  const std::shared_future<void> start = leaver_gone.get_future().share();
+  std::atomic<int> failures{0};
+  {
+    std::vector<Thread> pool;
+    pool.reserve(kClients);
+    for (int c = 0; c < kClients; ++c) {
+      pool.emplace_back([&, c] {
+        start.wait();
+        const auto queries = make_queries(4, 200 + static_cast<std::uint64_t>(c));
+        try {
+          if (clients[static_cast<std::size_t>(c)].recommend_batch(1, queries) !=
+              rec_->recommend_batch(queries)) {
+            failures.fetch_add(1);
+          }
+        } catch (const std::exception&) {
+          failures.fetch_add(1);
+        }
+      });
+    }
+    leaver_gone.set_value();
+  }
+  EXPECT_EQ(failures.load(), 0);
+  EXPECT_TRUE(head_reply_matches(head));
+  service.stop();
+  // The leaver's request was read before its FIN, so it was answered and
+  // its reply counted, whether or not the send reached anyone.
+  const auto stats = service.stats();
+  EXPECT_EQ(stats.requests, kClients + 2u);
+  EXPECT_EQ(stats.errors, 0u);
+}
+
+TEST_F(ServeModel, InterleavedCasesOnTwoLanes) {
+  // rec_ registered twice gives two lanes that answer identically.
+  RecommenderService service({{1, rec_.get()}, {2, rec_.get()}});
   service.start();
   const int port = service.port();
 
@@ -277,9 +423,10 @@ TEST_F(ServeModel, ServiceCoalescesConcurrentClients) {
         try {
           RecommenderClient client(port);
           for (std::size_t r = 0; r < kRequests; ++r) {
+            const int case_id = 1 + static_cast<int>((static_cast<std::size_t>(c) + r) % 2);
             const auto queries =
-                make_queries(kBatch, 100 + static_cast<std::uint64_t>(c) * 1000 + r);
-            if (client.recommend_batch(1, queries) != rec_->recommend_batch(queries)) {
+                make_queries(kBatch, 300 + static_cast<std::uint64_t>(c) * 1000 + r);
+            if (client.recommend_batch(case_id, queries) != rec_->recommend_batch(queries)) {
               failures.fetch_add(1);
             }
           }
@@ -290,20 +437,65 @@ TEST_F(ServeModel, ServiceCoalescesConcurrentClients) {
     }
   }
   EXPECT_EQ(failures.load(), 0);
-
-  const auto stats = service.stats();
   service.stop();
+  const auto stats = service.stats();
   EXPECT_EQ(stats.requests, kClients * kRequests);
   EXPECT_EQ(stats.queries, kClients * kRequests * kBatch);
   EXPECT_EQ(stats.errors, 0u);
-  // Coalescing means strictly fewer forward passes than requests (with a
-  // 500us window and 8 concurrent clients this is not close), and the
-  // histogram must account for every dispatched batch.
-  EXPECT_GE(stats.batches, 1u);
-  EXPECT_LT(stats.batches, stats.requests);
+  EXPECT_LE(stats.batches, stats.requests);
   std::uint64_t hist_total = 0;
   for (const auto b : stats.batch_size_log2_hist) hist_total += b;
   EXPECT_EQ(hist_total, stats.batches);
+}
+
+TEST_F(ServeModel, StopMidStreamOnTwoLanesAnswersEveryQueuedRequest) {
+  RecommenderService service({{1, rec_.get()}, {2, rec_.get()}});
+  service.start();
+  const int port = service.port();
+
+  constexpr int kClients = 8;
+  constexpr std::size_t kBatch = 4;
+  std::vector<RecommenderClient> clients;
+  for (int c = 0; c < kClients; ++c) clients.emplace_back(port);
+  std::atomic<std::uint64_t> received{0};
+  std::atomic<int> mismatches{0};
+  std::atomic<int> streaming{kClients};
+  {
+    std::vector<Thread> pool;
+    pool.reserve(kClients);
+    for (int c = 0; c < kClients; ++c) {
+      pool.emplace_back([&, c] {
+        // Closed loop until stop() shuts the connection down.
+        for (std::uint64_t r = 0;; ++r) {
+          const int case_id = 1 + static_cast<int>((static_cast<std::uint64_t>(c) + r) % 2);
+          const auto queries = make_queries(kBatch, 400 + static_cast<std::uint64_t>(c) * 1000 + r);
+          std::vector<std::int32_t> labels;
+          try {
+            labels = clients[static_cast<std::size_t>(c)].recommend_batch(case_id, queries);
+          } catch (const std::exception&) {
+            streaming.fetch_sub(1);
+            return;
+          }
+          if (labels != rec_->recommend_batch(queries)) mismatches.fetch_add(1);
+          received.fetch_add(1);
+        }
+      });
+    }
+    while (received.load() < std::uint64_t{4} * kClients && streaming.load() == kClients) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    EXPECT_EQ(streaming.load(), kClients) << "a client failed before stop()";
+    service.stop();  // must return with clients mid-stream on both lanes
+  }
+  EXPECT_EQ(mismatches.load(), 0);
+  const auto stats = service.stats();
+  EXPECT_EQ(stats.errors, 0u);
+  // Every request a pass answered got its reply sent (and counted): at
+  // most the one request in flight per client when stop() cut in was
+  // answered without its reply arriving.
+  EXPECT_EQ(stats.queries, stats.requests * kBatch);
+  EXPECT_GE(stats.requests, received.load());
+  EXPECT_LE(stats.requests, received.load() + kClients);
 }
 
 TEST_F(ServeModel, ServiceAnswersUnknownCaseWithErrorAndSurvives) {
@@ -324,9 +516,7 @@ TEST_F(ServeModel, StatsCountEachFrameBeforeTheClientSeesIt) {
   // Counters are taken before the frame they count is sent, so a client
   // that reads stats() right after a reply or an error frame must find it
   // counted — exactly, on every one of many back-to-back round trips.
-  ServeOptions opts;
-  opts.batch_deadline_us = 0;  // no admission wait: rounds run back to back
-  RecommenderService service({{1, rec_.get()}}, opts);
+  RecommenderService service({{1, rec_.get()}});
   service.start();
   RecommenderClient client(service.port());
   const auto queries = make_queries(2, 51);
@@ -404,15 +594,77 @@ TEST_F(ServeModel, ServiceEnforcesConnectionCap) {
   service.stop();
 }
 
-TEST_F(ServeModel, ZeroDeadlineDispatchesImmediately) {
+/// Lowers the soft RLIMIT_NOFILE to a few fds above the lowest free one
+/// and fills every free fd below it but one, so the next fd the process
+/// creates takes the last slot and the one after fails with EMFILE. The
+/// destructor closes the fillers and restores the limit.
+class FdExhaustion {
+ public:
+  FdExhaustion() {
+    EXPECT_EQ(getrlimit(RLIMIT_NOFILE, &saved_), 0);
+    anchor_ = open("/dev/null", O_RDONLY);
+    EXPECT_GE(anchor_, 0);
+    rlimit low = saved_;
+    low.rlim_cur = static_cast<rlim_t>(anchor_) + 8;
+    EXPECT_EQ(setrlimit(RLIMIT_NOFILE, &low), 0);
+    for (int fd = dup(anchor_); fd >= 0; fd = dup(anchor_)) fillers_.push_back(fd);
+    EXPECT_EQ(errno, EMFILE);
+    EXPECT_FALSE(fillers_.empty());
+    if (!fillers_.empty()) {
+      close(fillers_.back());  // the one free slot
+      fillers_.pop_back();
+    }
+  }
+  ~FdExhaustion() {
+    for (const int fd : fillers_) close(fd);
+    close(anchor_);
+    setrlimit(RLIMIT_NOFILE, &saved_);
+  }
+  FdExhaustion(const FdExhaustion&) = delete;
+  FdExhaustion& operator=(const FdExhaustion&) = delete;
+
+ private:
+  rlimit saved_{};
+  int anchor_ = -1;
+  std::vector<int> fillers_;
+};
+
+TEST_F(ServeModel, ServiceKeepsAcceptingAfterAFailedAccept) {
   ServeOptions opts;
-  opts.batch_deadline_us = 0;
+  opts.accept_poll_ms = 5;
   RecommenderService service({{1, rec_.get()}}, opts);
   service.start();
-  RecommenderClient client(service.port());
-  const auto queries = make_queries(8, 43);
-  EXPECT_EQ(client.recommend_batch(1, queries), rec_->recommend_batch(queries));
-  EXPECT_GE(service.stats().batches, 1u);
+  const auto queries = make_queries(2, 61);
+  const auto frame = encode_query(to_frame(1, queries));
+
+  std::optional<serve::Socket> client;
+  {
+    const FdExhaustion no_fds;
+    client.emplace(serve::connect_local(service.port()));  // takes the last fd
+    client->send_frame(frame);
+    // Every accept() of this connection fails with EMFILE meanwhile.
+    std::this_thread::sleep_for(std::chrono::milliseconds(20 * opts.accept_poll_ms));
+  }
+  // The fds are back: the waiting client must get its reply. A deaf
+  // service fails the test after a timeout instead of hanging it.
+  std::promise<std::optional<std::vector<unsigned char>>> reply;
+  auto got = reply.get_future();
+  Thread reader([&] {
+    try {
+      reply.set_value(client->recv_frame(serve::kMaxFrameBytes));
+    } catch (...) {
+      reply.set_exception(std::current_exception());
+    }
+  });
+  const bool answered = got.wait_for(std::chrono::seconds(10)) == std::future_status::ready;
+  if (!answered) client->shutdown_both();  // unblocks the reader
+  reader.join();
+  ASSERT_TRUE(answered) << "no reply after the fds were freed: the service stopped accepting";
+  const auto body = got.get();
+  ASSERT_TRUE(body.has_value());
+  const Frame f = decode_frame(body->data(), body->size());
+  ASSERT_EQ(f.type, FrameType::kReply);
+  EXPECT_EQ(f.labels, rec_->recommend_batch(queries));
   service.stop();
 }
 
@@ -437,7 +689,7 @@ TEST_F(ServeModel, ConstructorValidatesModelTable) {
   EXPECT_THROW(RecommenderService({{4, rec_.get()}}), ContractViolation);
   EXPECT_THROW(RecommenderService({{1, rec_.get()}, {1, rec_.get()}}), ContractViolation);
   ServeOptions bad;
-  bad.batch_max = 0;
+  bad.accept_poll_ms = 0;
   EXPECT_THROW(RecommenderService({{1, rec_.get()}}, bad), ContractViolation);
 }
 

@@ -83,8 +83,6 @@ def validate_serve(d, min_levels):
     # recommend_batch before reporting; a report without that assertion
     # must never be waved through even if the numbers parse.
     require(d.get("responses_bit_identical") is True, "responses_bit_identical is not True")
-    require(d.get("batch_deadline_us", -1) >= 0, "batch_deadline_us must be >= 0")
-    require(d.get("batch_max", 0) >= 1, "batch_max must be >= 1")
     levels = d.get("levels", [])
     require(len(levels) >= min_levels, f"expected >= {min_levels} concurrency levels")
     seen = set()
