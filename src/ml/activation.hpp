@@ -9,13 +9,13 @@ namespace airch::ml {
 
 class ReluLayer final : public Layer {
  public:
-  Matrix forward(const Matrix& x, bool training) override;
+  Matrix forward(const Matrix& x) override;
   Matrix infer(const Matrix& x) const override;
   Matrix backward(const Matrix& grad_out) override;
   std::size_t output_dim(std::size_t input_dim) const override { return input_dim; }
 
  private:
-  Matrix mask_;  // 1 where input > 0
+  Matrix output_;  // last forward() output; > 0 exactly where the input was
 };
 
 }  // namespace airch::ml

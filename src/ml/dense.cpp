@@ -15,20 +15,16 @@ DenseLayer::DenseLayer(std::size_t in_dim, std::size_t out_dim, Rng& rng)
   w_.init_glorot(rng);
 }
 
-Matrix DenseLayer::forward(const Matrix& x, bool /*training*/) {
-  AIRCH_ASSERT(x.cols() == in_dim_);
+Matrix DenseLayer::forward(const Matrix& x) {
   cached_input_ = x;
-  Matrix y(x.rows(), out_dim_);
-  matmul(x, false, w_, false, y);
-  add_row_broadcast(y, b_);
-  return y;
+  return infer(x);
 }
 
 Matrix DenseLayer::infer(const Matrix& x) const {
   AIRCH_ASSERT(x.cols() == in_dim_);
-  // Same computation as forward() minus the cached_input_ copy: the output
-  // lives on the caller's stack and the matmul scratch is thread_local, so
-  // any number of threads can infer through one shared layer.
+  // The output lives on the caller's stack and the matmul scratch is
+  // thread_local, so any number of threads can infer through one shared
+  // layer.
   Matrix y(x.rows(), out_dim_);
   matmul(x, false, w_, false, y);
   add_row_broadcast(y, b_);

@@ -12,7 +12,7 @@ class DenseLayer final : public Layer {
  public:
   DenseLayer(std::size_t in_dim, std::size_t out_dim, Rng& rng);
 
-  Matrix forward(const Matrix& x, bool training) override;
+  Matrix forward(const Matrix& x) override;
   Matrix infer(const Matrix& x) const override;
   Matrix backward(const Matrix& grad_out) override;
   std::vector<ParamRef> params() override;

@@ -10,9 +10,8 @@ DropoutLayer::DropoutLayer(double rate, std::uint64_t seed) : rate_(rate), rng_(
   if (rate < 0.0 || rate >= 1.0) throw std::invalid_argument("dropout rate must be in [0, 1)");
 }
 
-Matrix DropoutLayer::forward(const Matrix& x, bool training) {
-  last_forward_training_ = training;
-  if (!training || rate_ == 0.0) return x;
+Matrix DropoutLayer::forward(const Matrix& x) {
+  if (rate_ == 0.0) return x;
   const float keep_scale = static_cast<float>(1.0 / (1.0 - rate_));
   // Fully overwritten below; avoid the re-zeroing resize when the batch
   // shape is unchanged.
@@ -30,7 +29,7 @@ Matrix DropoutLayer::forward(const Matrix& x, bool training) {
 }
 
 Matrix DropoutLayer::backward(const Matrix& grad_out) {
-  if (!last_forward_training_ || rate_ == 0.0) return grad_out;
+  if (rate_ == 0.0) return grad_out;
   AIRCH_ASSERT(grad_out.rows() == mask_.rows() && grad_out.cols() == mask_.cols());
   Matrix g = grad_out;
   float* gd = g.data();

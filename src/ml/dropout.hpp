@@ -1,5 +1,6 @@
 #pragma once
-// Inverted dropout: active only in training mode, identity at inference.
+// Inverted dropout: forward() (training) zeroes and rescales, infer() is
+// the identity.
 // The paper notes its case-2 model "starts to overfit" after ~22 epochs;
 // dropout is the standard counter-measure exposed through
 // NeuralClassifier::Options.
@@ -17,7 +18,7 @@ class DropoutLayer final : public Layer {
   /// rate in [0, 1): probability of zeroing an activation.
   DropoutLayer(double rate, std::uint64_t seed);
 
-  Matrix forward(const Matrix& x, bool training) override;
+  Matrix forward(const Matrix& x) override;
   /// Identity: inverted dropout scales at training time so inference is a
   /// plain pass-through (and therefore trivially thread-safe).
   Matrix infer(const Matrix& x) const override { return x; }
@@ -29,8 +30,7 @@ class DropoutLayer final : public Layer {
  private:
   double rate_;
   Rng rng_;
-  Matrix mask_;  // scaled keep-mask from the last training forward
-  bool last_forward_training_ = false;
+  Matrix mask_;  // scaled keep-mask from the last forward()
 };
 
 }  // namespace airch::ml

@@ -20,29 +20,15 @@ EmbeddingBag::EmbeddingBag(std::vector<int> vocab_sizes, std::size_t dim, Rng& r
 }
 
 Matrix EmbeddingBag::forward(const IntBatch& indices) {
-  AIRCH_ASSERT(indices.cols == vocab_sizes_.size());
   cached_indices_ = indices;
-  Matrix out(indices.rows, output_dim());
-  // Each output row is an independent gather; row-partitioning across
-  // workers is race-free and order-independent (pure copies).
-  parallel_rows(indices.rows, output_dim() * 2, [&](std::size_t r0, std::size_t r1) {
-    for (std::size_t r = r0; r < r1; ++r) {
-      float* dst = out.row(r);
-      for (std::size_t f = 0; f < vocab_sizes_.size(); ++f) {
-        const int vocab = vocab_sizes_[f];
-        const auto idx = static_cast<std::size_t>(
-            std::clamp<std::int32_t>(indices(r, f), 0, vocab - 1));
-        const float* src = tables_[f].row(idx);
-        std::copy(src, src + dim_, dst + f * dim_);
-      }
-    }
-  });
-  return out;
+  return infer(indices);
 }
 
 Matrix EmbeddingBag::infer(const IntBatch& indices) const {
   AIRCH_ASSERT(indices.cols == vocab_sizes_.size());
   Matrix out(indices.rows, output_dim());
+  // Each output row is an independent gather; row-partitioning across
+  // workers is race-free and order-independent (pure copies).
   parallel_rows(indices.rows, output_dim() * 2, [&](std::size_t r0, std::size_t r1) {
     for (std::size_t r = r0; r < r1; ++r) {
       float* dst = out.row(r);

@@ -33,13 +33,12 @@ class EmbeddingBag {
   /// vocab_sizes[f] = number of buckets for feature f; dim = vector width.
   EmbeddingBag(std::vector<int> vocab_sizes, std::size_t dim, Rng& rng);
 
-  /// (batch x F) indices -> (batch x F*dim) concatenated embeddings.
-  /// Indices are clamped into the vocab range defensively.
+  /// Training forward: infer() plus the cached indices backward() reads.
   Matrix forward(const IntBatch& indices);
 
-  /// forward() without the cached_indices_ write: no backward() can follow,
+  /// (batch x F) indices -> (batch x F*dim) concatenated embeddings.
+  /// Indices are clamped into the vocab range defensively. Caches nothing,
   /// so concurrent infer() calls on one shared bag are race-free.
-  /// Bit-identical to forward() by contract (same gather, same clamping).
   Matrix infer(const IntBatch& indices) const;
 
   /// Accumulates gradients for the rows touched by the last forward().

@@ -1,7 +1,8 @@
 #pragma once
 // Layer abstraction for the float part of a network (everything after the
-// embedding front-end). Layers cache whatever they need from forward() for
-// the subsequent backward(); one forward/backward pair per batch.
+// embedding front-end). infer() is each layer's one implementation of its
+// op; the training forward() is infer() plus the cache that the following
+// backward() reads. One forward/backward pair per batch.
 
 #include <cstddef>
 #include <memory>
@@ -34,13 +35,14 @@ class Layer {
  public:
   virtual ~Layer() = default;
 
-  /// Computes layer output for `x` (batch rows).
-  virtual Matrix forward(const Matrix& x, bool training) = 0;
+  /// Training forward for `x` (batch rows): infer(x) plus whatever
+  /// backward() needs. Dropout is the one layer whose training output
+  /// differs from infer(): it draws and applies a fresh mask.
+  virtual Matrix forward(const Matrix& x) = 0;
 
-  /// Inference-mode forward with NO side effects: nothing is cached for a
-  /// later backward(), so concurrent infer() calls on one shared layer are
+  /// Inference forward with NO side effects: nothing is cached for a later
+  /// backward(), so concurrent infer() calls on one shared layer are
   /// race-free (the serving path; see FeedForwardNet::infer_logits).
-  /// Bit-identical to forward(x, /*training=*/false) by contract.
   virtual Matrix infer(const Matrix& x) const = 0;
 
   /// Given dL/d(output), accumulates parameter gradients and returns

@@ -1,7 +1,6 @@
 #include "ml/matrix.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -15,85 +14,25 @@ void Matrix::init_glorot(Rng& rng) {
   for (auto& v : data_) v = static_cast<float>(rng.uniform(-limit, limit));
 }
 
-namespace {
-
-// Process-wide kernel dispatch flag. A deliberate escape hatch from the
-// capability analysis (common/sync.hpp): a lone atomic word with relaxed
-// ordering is the whole protocol — readers only ever pick a code path, and
-// both paths produce bit-identical results, so no mutex and no GUARDED_BY.
-// The other concurrency-adjacent state in this TU is likewise lock-free by
-// construction: the kernel table is a function-local static resolved
-// through the C++11 magic-statics guarantee, and the pack scratch is
-// thread_local to the calling thread (workers only get disjoint slices).
-std::atomic<KernelMode> g_kernel_mode{KernelMode::kFast};
-
-/// Scale-or-clear prologue shared by both matmul paths: C = beta * C.
-void apply_beta(Matrix& c, float beta) {
-  if (beta == 0.0f) {
-    c.fill(0.0f);
-  } else if (beta != 1.0f) {
-    for (std::size_t i = 0; i < c.size(); ++i) c.data()[i] *= beta;
-  }
-}
-
-}  // namespace
-
-void set_kernel_mode(KernelMode mode) { g_kernel_mode.store(mode, std::memory_order_relaxed); }
-
-KernelMode kernel_mode() { return g_kernel_mode.load(std::memory_order_relaxed); }
-
 void parallel_rows(std::size_t rows, std::size_t work_per_row,
                    const std::function<void(std::size_t, std::size_t)>& fn) {
   if (rows == 0) return;
-  if (kernel_mode() == KernelMode::kFast) {
-    // Each worker should shoulder a few million scalar ops before a thread
-    // spawn pays for itself; below that the serial loop wins outright.
-    constexpr std::size_t kMinWorkPerWorker = std::size_t{2} << 20;
-    const std::size_t total = rows * std::max<std::size_t>(work_per_row, 1);
-    const auto workers = static_cast<unsigned>(std::min<std::size_t>(
-        hardware_threads(), std::max<std::size_t>(total / kMinWorkPerWorker, 1)));
-    if (workers > 1) {
-      parallel_for(rows, workers, fn);
-      return;
-    }
+  // Each worker should shoulder a few million scalar ops before a thread
+  // spawn pays for itself; below that the serial loop wins outright.
+  constexpr std::size_t kMinWorkPerWorker = std::size_t{2} << 20;
+  const std::size_t total = rows * std::max<std::size_t>(work_per_row, 1);
+  const auto workers = static_cast<unsigned>(std::min<std::size_t>(
+      hardware_threads(), std::max<std::size_t>(total / kMinWorkPerWorker, 1)));
+  if (workers > 1) {
+    parallel_for(rows, workers, fn);
+    return;
   }
   fn(0, rows);
 }
 
-void matmul_reference(const Matrix& a, bool trans_a, const Matrix& b, bool trans_b, Matrix& c,
-                      float alpha, float beta) {
-  const std::size_t m = trans_a ? a.cols() : a.rows();
-  const std::size_t k = trans_a ? a.rows() : a.cols();
-  const std::size_t k2 = trans_b ? b.cols() : b.rows();
-  const std::size_t n = trans_b ? b.rows() : b.cols();
-  AIRCH_DCHECK(k == k2, "matmul inner dimensions must agree");
-  (void)k2;
-  AIRCH_DCHECK(c.rows() == m && c.cols() == n, "matmul output must be pre-sized to m x n");
-
-  apply_beta(c, beta);
-
-  // ikj loop order keeps the innermost accesses contiguous for the
-  // untransposed cases; the transposed variants fall back to strided reads
-  // of one operand. The zero-skip is load-bearing: see matmul_reference's
-  // header contract.
-  for (std::size_t i = 0; i < m; ++i) {
-    float* c_row = c.row(i);
-    for (std::size_t p = 0; p < k; ++p) {
-      const float a_val = alpha * (trans_a ? a(p, i) : a(i, p));
-      if (a_val == 0.0f) continue;
-      if (!trans_b) {
-        const float* b_row = b.row(p);
-        for (std::size_t j = 0; j < n; ++j) c_row[j] += a_val * b_row[j];
-      } else {
-        for (std::size_t j = 0; j < n; ++j) c_row[j] += a_val * b(j, p);
-      }
-    }
-  }
-}
-
 namespace {
 
-// ------------------------------------------------------------- fast path
+// ---------------------------------------------------------------- matmul
 // Every call reads op(B) — the weight matrix, on every inference call —
 // from memory once. Two loop nests keep that property:
 //
@@ -116,11 +55,12 @@ namespace {
 //    transposed B has no contiguous rows to stream; its rare small batches,
 //    a training epoch's last few samples, take the blocked path.)
 //
-// Bit-identity with the reference loop holds because every C element
-// still accumulates its terms in ascending-p order on one thread, with the
-// identical `scaled A operand == 0 -> skip` test on the identical float
-// value. Blocking, packing and the column split only change where the
-// operands are read from and which thread owns a column.
+// Bit-identity with the seed's ikj reference loop (kept as the tests'
+// oracle) holds because every C element still accumulates its terms in
+// ascending-p order on one thread, with the identical
+// `scaled A operand == 0 -> skip` test on the identical float value.
+// Blocking, packing and the column split only change where the operands
+// are read from and which thread owns a column.
 //
 // The blocked tile comes in two flavours, chosen per panel:
 //
@@ -309,6 +249,15 @@ Kernels select_kernels() { return {blocked_base, stream_base}; }
 
 std::size_t ceil_div(std::size_t x, std::size_t y) { return (x + y - 1) / y; }
 
+/// Scale-or-clear prologue: C = beta * C.
+void apply_beta(Matrix& c, float beta) {
+  if (beta == 0.0f) {
+    c.fill(0.0f);
+  } else if (beta != 1.0f) {
+    for (std::size_t i = 0; i < c.size(); ++i) c.data()[i] *= beta;
+  }
+}
+
 /// Packs alpha * op(A) for the blocked path: kMR-row blocks, p-major
 /// inside a block (element (i, p) at [(i/kMR*k + p)*kMR + i%kMR]), so the
 /// tile reads its kMR values of one p contiguously; rows past m are zero.
@@ -327,11 +276,16 @@ void pack_a(const Matrix& a, bool trans_a, std::size_t m, std::size_t k, float a
   }
 }
 
-void matmul_fast(const Matrix& a, bool trans_a, const Matrix& b, bool trans_b, Matrix& c,
-                 float alpha, float beta) {
+}  // namespace
+
+void matmul(const Matrix& a, bool trans_a, const Matrix& b, bool trans_b, Matrix& c,
+            float alpha, float beta) {
   const std::size_t m = c.rows();
   const std::size_t n = c.cols();
   const std::size_t k = trans_a ? a.rows() : a.cols();
+  AIRCH_DCHECK((trans_b ? b.cols() : b.rows()) == k, "matmul inner dimensions must agree");
+  AIRCH_DCHECK((trans_a ? a.cols() : a.rows()) == m && (trans_b ? b.rows() : b.cols()) == n,
+               "matmul output must be pre-sized to m x n");
   apply_beta(c, beta);
   if (m == 0 || n == 0 || k == 0) return;
 
@@ -379,25 +333,6 @@ void matmul_fast(const Matrix& a, bool trans_a, const Matrix& b, bool trans_b, M
     const std::size_t j1 = std::min(n, (w + 1) * blocks / workers * nc);
     kernel(g, j0, j1, nc, panels + w * panel_floats);
   });
-}
-
-}  // namespace
-
-void matmul(const Matrix& a, bool trans_a, const Matrix& b, bool trans_b, Matrix& c,
-            float alpha, float beta) {
-  const std::size_t m = trans_a ? a.cols() : a.rows();
-  const std::size_t k = trans_a ? a.rows() : a.cols();
-  const std::size_t k2 = trans_b ? b.cols() : b.rows();
-  const std::size_t n = trans_b ? b.rows() : b.cols();
-  AIRCH_DCHECK(k == k2, "matmul inner dimensions must agree");
-  (void)k2;
-  AIRCH_DCHECK(c.rows() == m && c.cols() == n, "matmul output must be pre-sized to m x n");
-
-  if (kernel_mode() == KernelMode::kNaive) {
-    matmul_reference(a, trans_a, b, trans_b, c, alpha, beta);
-    return;
-  }
-  matmul_fast(a, trans_a, b, trans_b, c, alpha, beta);
 }
 
 void add_row_broadcast(Matrix& y, const std::vector<float>& row) {

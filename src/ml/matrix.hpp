@@ -5,9 +5,10 @@
 // fit in L2 under a register-tiled kernel, or, for batches smaller than one
 // tile, a streaming row loop — splits columns across workers, and
 // dispatches to the widest SIMD level the CPU offers, while staying
-// bit-identical to the retained reference ikj loop (every C element keeps
-// its exact p-ascending float accumulation order, and the zero-skip
-// semantics for dropout/ReLU-zeroed activations are preserved).
+// bit-identical to the seed's ikj loop, which the tests keep as their
+// reference (tests/reference/ml_reference.hpp): every C element keeps its
+// exact p-ascending float accumulation order, and the zero-skip semantics
+// for dropout/ReLU-zeroed activations are preserved.
 
 #include <cstddef>
 #include <functional>
@@ -59,42 +60,22 @@ class Matrix {
   std::vector<float> data_;
 };
 
-/// Process-wide selector for the ML kernel paths. kFast (the default)
-/// routes matmul through the blocked/packed microkernel and enables the
-/// deterministic parallel element loops in the layer implementations;
-/// kNaive forces the original single-threaded reference paths everywhere.
-/// Both modes produce bit-identical results — the switch exists so
-/// benchmarks and tests can A/B the two paths on the same computation
-/// (bench/bench_train_throughput.cpp asserts trajectory equality).
-/// The flag is read atomically but is intended to be set once up front,
-/// not toggled mid-training.
-enum class KernelMode { kNaive, kFast };
-void set_kernel_mode(KernelMode mode);
-KernelMode kernel_mode();
-
 /// C = alpha * op(A) * op(B) + beta * C, where op is optional transpose.
-/// Shapes are checked with assert; callers size C beforehand. Dispatches
-/// per kernel_mode() to the fast path (the blocked kernel for m >= 8 rows,
-/// the streaming loop below that) or to the reference loop; results are
-/// bit-identical either way (property-tested in
-/// tests/test_matmul_kernel.cpp).
-void matmul(const Matrix& a, bool trans_a, const Matrix& b, bool trans_b, Matrix& c,
-            float alpha = 1.0f, float beta = 0.0f);
-
-/// The original single-threaded ikj loop, retained verbatim as the
-/// reference implementation the blocked kernel is bit-compared against.
+/// Shapes are checked with assert; callers size C beforehand. Runs the
+/// blocked kernel for m >= 8 rows and the streaming loop below that.
 /// Semantics contract: a term whose scaled A operand `alpha * op(A)(i,p)`
 /// equals zero is SKIPPED, not accumulated — a dropout- or ReLU-zeroed
 /// activation row contributes exactly +0.0f to C, never -0.0f and never a
-/// NaN from 0 * inf (pinned by the ZeroRow tests).
-void matmul_reference(const Matrix& a, bool trans_a, const Matrix& b, bool trans_b, Matrix& c,
-                      float alpha = 1.0f, float beta = 0.0f);
+/// NaN from 0 * inf. Both this contract and bit-identity with the reference
+/// loop are pinned in tests/test_matmul_kernel.cpp.
+void matmul(const Matrix& a, bool trans_a, const Matrix& b, bool trans_b, Matrix& c,
+            float alpha = 1.0f, float beta = 0.0f);
 
 /// Deterministic helper for the per-batch element loops (embedding,
 /// activation, loss): invokes fn(begin, end) over disjoint static row
-/// chunks covering [0, rows). Splits across workers only when the kernel
-/// mode is kFast AND rows * work_per_row (an approximate scalar-op count)
-/// is large enough to amortize thread spawns; otherwise runs inline.
+/// chunks covering [0, rows). Splits across workers only when
+/// rows * work_per_row (an approximate scalar-op count) is large enough to
+/// amortize thread spawns; otherwise runs inline.
 /// Row-partitioning keeps every per-row computation on a single thread in
 /// its original order, so results are bit-identical to the serial loop.
 void parallel_rows(std::size_t rows, std::size_t work_per_row,

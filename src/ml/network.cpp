@@ -8,9 +8,9 @@
 
 namespace airch::ml {
 
-Matrix Sequential::forward(const Matrix& x, bool training) {
+Matrix Sequential::forward(const Matrix& x) {
   Matrix cur = x;
-  for (auto& layer : layers_) cur = layer->forward(cur, training);
+  for (auto& layer : layers_) cur = layer->forward(cur);
   return cur;
 }
 
@@ -72,16 +72,6 @@ FeedForwardNet::FeedForwardNet(std::size_t input_dim, const std::vector<std::siz
   build_body(body_, input_dim, hidden, classes, rng, dropout);
 }
 
-Matrix FeedForwardNet::logits(const IntBatch& x, bool training) {
-  if (!embedding_) throw std::logic_error("net has no embedding front-end");
-  return body_.forward(embedding_->forward(x), training);
-}
-
-Matrix FeedForwardNet::logits(const Matrix& x, bool training) {
-  if (embedding_) throw std::logic_error("net expects integer (embedding) input");
-  return body_.forward(x, training);
-}
-
 Matrix FeedForwardNet::infer_logits(const IntBatch& x) const {
   if (!embedding_) throw std::logic_error("net has no embedding front-end");
   return body_.infer(embedding_->infer(x));
@@ -94,7 +84,7 @@ Matrix FeedForwardNet::infer_logits(const Matrix& x) const {
 
 TrainStats FeedForwardNet::apply_loss_and_step(const Matrix& logits_out,
                                                const std::vector<std::int32_t>& y,
-                                               Optimizer& opt) {
+                                               Adam& opt) {
   const LossResult lr = softmax_cross_entropy(logits_out, y);
   const Matrix grad_in = body_.backward(lr.grad);
   if (embedding_) embedding_->backward(grad_in);
@@ -103,15 +93,17 @@ TrainStats FeedForwardNet::apply_loss_and_step(const Matrix& logits_out,
 }
 
 TrainStats FeedForwardNet::train_batch(const IntBatch& x, const std::vector<std::int32_t>& y,
-                                       Optimizer& opt) {
+                                       Adam& opt) {
+  if (!embedding_) throw std::logic_error("net has no embedding front-end");
   AIRCH_ASSERT(x.rows == y.size());
-  return apply_loss_and_step(logits(x, /*training=*/true), y, opt);
+  return apply_loss_and_step(body_.forward(embedding_->forward(x)), y, opt);
 }
 
 TrainStats FeedForwardNet::train_batch(const Matrix& x, const std::vector<std::int32_t>& y,
-                                       Optimizer& opt) {
+                                       Adam& opt) {
+  if (embedding_) throw std::logic_error("net expects integer (embedding) input");
   AIRCH_ASSERT(x.rows() == y.size());
-  return apply_loss_and_step(logits(x, /*training=*/true), y, opt);
+  return apply_loss_and_step(body_.forward(x), y, opt);
 }
 
 std::vector<std::int32_t> FeedForwardNet::predict(const IntBatch& x) const {

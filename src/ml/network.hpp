@@ -21,10 +21,10 @@ class Sequential {
  public:
   void add(std::unique_ptr<Layer> layer) { layers_.push_back(std::move(layer)); }
 
-  Matrix forward(const Matrix& x, bool training);
+  /// Training forward: each layer's forward(), caching for backward().
+  Matrix forward(const Matrix& x);
   /// Side-effect-free inference forward (see Layer::infer): safe to call
-  /// concurrently on one shared network, bit-identical to
-  /// forward(x, /*training=*/false).
+  /// concurrently on one shared network.
   Matrix infer(const Matrix& x) const;
   /// Backward through all layers; returns dL/d(input of first layer).
   Matrix backward(const Matrix& grad_out);
@@ -76,19 +76,17 @@ class FeedForwardNet {
   bool has_embedding() const { return embedding_ != nullptr; }
   std::size_t num_classes() const { return classes_; }
 
-  /// Forward to logits. Exactly one of these is legal per variant.
-  Matrix logits(const IntBatch& x, bool training);
-  Matrix logits(const Matrix& x, bool training);
-
-  /// Inference-mode logits with no side effects (nothing cached for a
-  /// backward pass), so many threads can share one trained net. Matches
-  /// logits(x, /*training=*/false) bit-for-bit.
+  /// Inference logits with no side effects (nothing cached for a backward
+  /// pass), so many threads can share one trained net. They run the same
+  /// per-layer infer() that the training forward is built on. Exactly one
+  /// overload is legal per variant; the other throws std::logic_error.
   Matrix infer_logits(const IntBatch& x) const;
   Matrix infer_logits(const Matrix& x) const;
 
-  /// One SGD step on a batch; returns loss/accuracy stats.
-  [[nodiscard]] TrainStats train_batch(const IntBatch& x, const std::vector<std::int32_t>& y, Optimizer& opt);
-  [[nodiscard]] TrainStats train_batch(const Matrix& x, const std::vector<std::int32_t>& y, Optimizer& opt);
+  /// One training step on a batch (forward, loss, backward, Adam); returns
+  /// loss/accuracy stats. The wrong input modality throws std::logic_error.
+  [[nodiscard]] TrainStats train_batch(const IntBatch& x, const std::vector<std::int32_t>& y, Adam& opt);
+  [[nodiscard]] TrainStats train_batch(const Matrix& x, const std::vector<std::int32_t>& y, Adam& opt);
 
   std::vector<std::int32_t> predict(const IntBatch& x) const;
   std::vector<std::int32_t> predict(const Matrix& x) const;
@@ -98,7 +96,7 @@ class FeedForwardNet {
 
  private:
   [[nodiscard]] TrainStats apply_loss_and_step(const Matrix& logits_out, const std::vector<std::int32_t>& y,
-                                 Optimizer& opt);
+                                 Adam& opt);
 
   std::unique_ptr<EmbeddingBag> embedding_;
   Sequential body_;

@@ -4,7 +4,6 @@
 #include <stdexcept>
 
 #include "common/check.hpp"
-#include "ml/matrix.hpp"
 
 namespace airch::ml {
 
@@ -19,7 +18,8 @@ namespace {
 // can vectorize (vsqrtpd computes the same correctly-rounded value, it
 // just skips the errno bookkeeping). mi/vi are written back immediately
 // after the float rounding, so reading the local is bit-equal to the
-// reference's store-then-reload.
+// seed's scalar store-then-reload loop, which the tests keep as their
+// reference.
 #define AIRCH_ADAM_BODY                                                                    \
   for (std::size_t i = 0; i < n; ++i) {                                                    \
     const double g = static_cast<double>(grad[i]);                                         \
@@ -79,45 +79,14 @@ void adam_update(float* value, float* m, float* v, const float* grad, std::size_
 
 #undef AIRCH_ADAM_BODY
 
-/// A null grad means the owning layer has not run backward() yet (see
-/// ParamRef): there is nothing to step on. Checked before any update.
-void require_grads(const std::vector<ParamRef>& params) {
+}  // namespace
+
+void Adam::step(const std::vector<ParamRef>& params) {
+  // A null grad means the owning layer has not run backward() yet (see
+  // ParamRef): there is nothing to step on. Checked before any update.
   for (const auto& p : params) {
     AIRCH_CHECK(p.grad != nullptr, "optimizer step on a parameter with no gradient");
   }
-}
-
-}  // namespace
-
-void Sgd::step(const std::vector<ParamRef>& params) {
-  require_grads(params);
-  for (const auto& p : params) {
-    for (std::size_t i = 0; i < p.size; ++i) {
-      p.value[i] -= static_cast<float>(lr_) * p.grad[i];
-    }
-  }
-}
-
-void SgdMomentum::step(const std::vector<ParamRef>& params) {
-  require_grads(params);
-  if (velocity_.empty()) {
-    velocity_.reserve(params.size());
-    for (const auto& p : params) velocity_.emplace_back(p.size, 0.0f);
-  }
-  if (velocity_.size() != params.size()) throw std::logic_error("parameter list changed");
-  for (std::size_t k = 0; k < params.size(); ++k) {
-    const auto& p = params[k];
-    auto& vel = velocity_[k];
-    AIRCH_ASSERT(vel.size() == p.size);
-    for (std::size_t i = 0; i < p.size; ++i) {
-      vel[i] = static_cast<float>(momentum_) * vel[i] - static_cast<float>(lr_) * p.grad[i];
-      p.value[i] += vel[i];
-    }
-  }
-}
-
-void Adam::step(const std::vector<ParamRef>& params) {
-  require_grads(params);
   if (m_.empty()) {
     m_.reserve(params.size());
     v_.reserve(params.size());
@@ -132,36 +101,15 @@ void Adam::step(const std::vector<ParamRef>& params) {
   const double bias2 = 1.0 - std::pow(beta2_, t_);
   for (std::size_t k = 0; k < params.size(); ++k) {
     const auto& p = params[k];
-    auto& m = m_[k];
-    auto& v = v_[k];
-    AIRCH_ASSERT(m.size() == p.size);
-    if (kernel_mode() == KernelMode::kFast) {
-      adam_update(p.value, m.data(), v.data(), p.grad, p.size, beta1_, beta2_, lr_, eps_,
-                  bias1, bias2);
-      continue;
-    }
-    for (std::size_t i = 0; i < p.size; ++i) {
-      const double g = p.grad[i];
-      m[i] = static_cast<float>(beta1_ * static_cast<double>(m[i]) + (1.0 - beta1_) * g);
-      v[i] = static_cast<float>(beta2_ * static_cast<double>(v[i]) + (1.0 - beta2_) * g * g);
-      const double m_hat = static_cast<double>(m[i]) / bias1;
-      const double v_hat = static_cast<double>(v[i]) / bias2;
-      p.value[i] -= static_cast<float>(lr_ * m_hat / (std::sqrt(v_hat) + eps_));
-    }
+    AIRCH_ASSERT(m_[k].size() == p.size);
+    adam_update(p.value, m_[k].data(), v_[k].data(), p.grad, p.size, beta1_, beta2_, lr_, eps_,
+                bias1, bias2);
   }
 }
 
 double ExponentialDecaySchedule::operator()(int epoch) const {
   if (epoch < 1) throw std::invalid_argument("epoch is 1-based");
   return initial * std::pow(decay, epoch - 1);
-}
-
-double CosineSchedule::operator()(int epoch) const {
-  if (epoch < 1) throw std::invalid_argument("epoch is 1-based");
-  if (total_epochs <= 1) return epoch <= 1 ? initial : floor;
-  const double progress =
-      std::min(1.0, static_cast<double>(epoch - 1) / static_cast<double>(total_epochs - 1));
-  return floor + 0.5 * (initial - floor) * (1.0 + std::cos(progress * M_PI));
 }
 
 }  // namespace airch::ml

@@ -14,138 +14,110 @@ namespace {
 constexpr std::size_t kPredictChunk = 2048;
 }
 
-std::vector<EpochStats> NeuralClassifier::fit(const Dataset& train, const Dataset& val,
-                                              const FeatureEncoder& enc) {
+template <typename ForEachChunk>
+std::vector<EpochStats> NeuralClassifier::train_epochs(int num_features, int num_classes,
+                                                       const Dataset& val,
+                                                       const FeatureEncoder& enc,
+                                                       ForEachChunk&& for_each_chunk) {
   Rng rng(options_.seed);
-  fitted_input_dim_ = static_cast<std::size_t>(train.num_features());
+  fitted_input_dim_ = static_cast<std::size_t>(num_features);
   fitted_vocab_ = uses_embedding() ? enc.vocab_sizes() : std::vector<int>{};
-  build_net(static_cast<std::size_t>(train.num_classes()), fitted_input_dim_, fitted_vocab_);
+  build_net(static_cast<std::size_t>(num_classes), fitted_input_dim_, fitted_vocab_);
   ml::Adam opt(options_.learning_rate);
-
-  std::vector<std::size_t> order(train.size());
-  std::iota(order.begin(), order.end(), 0);
-
-  std::vector<EpochStats> history;
-  double best_val = -1.0;
-  int epochs_since_best = 0;
   const ml::ExponentialDecaySchedule lr_schedule{options_.learning_rate, options_.lr_decay};
+
   // Per-batch input buffers are hoisted out of the epoch loop: every full
   // batch has the same shape, so the gather encoders refill the same
   // storage and steady-state epochs allocate nothing here.
   ml::IntBatch int_batch;
   ml::Matrix float_batch;
   std::vector<std::int32_t> labels;
-  for (int epoch = 1; epoch <= options_.epochs; ++epoch) {
-    opt.set_learning_rate(lr_schedule(epoch));
-    rng.shuffle(order);
-    ml::TrainStats epoch_stats;
-    for (std::size_t begin = 0; begin < train.size(); begin += options_.batch_size) {
-      const std::size_t end = std::min(train.size(), begin + options_.batch_size);
+  ml::TrainStats epoch_stats;
+  const auto train_chunk = [&](const Dataset& chunk, const std::vector<std::size_t>& order) {
+    for (std::size_t begin = 0; begin < chunk.size(); begin += options_.batch_size) {
+      const std::size_t end = std::min(chunk.size(), begin + options_.batch_size);
       labels.resize(end - begin);
-      for (std::size_t i = begin; i < end; ++i) labels[i - begin] = train[order[i]].label;
+      for (std::size_t i = begin; i < end; ++i) labels[i - begin] = chunk[order[i]].label;
       if (uses_embedding()) {
-        enc.encode_int_gather_into(train, order, begin, end, int_batch);
+        enc.encode_int_gather_into(chunk, order, begin, end, int_batch);
         epoch_stats += net_->train_batch(int_batch, labels, opt);
       } else {
-        enc.encode_float_gather_into(train, order, begin, end, float_batch);
+        enc.encode_float_gather_into(chunk, order, begin, end, float_batch);
         epoch_stats += net_->train_batch(float_batch, labels, opt);
       }
     }
-    if (finish_epoch(epoch, epoch_stats, val, enc, history, best_val, epochs_since_best)) {
-      break;  // the paper's case 2 overfits past ~22 epochs; stop here
+  };
+
+  std::vector<EpochStats> history;
+  double best_val = -1.0;
+  int epochs_since_best = 0;
+  for (int epoch = 1; epoch <= options_.epochs; ++epoch) {
+    opt.set_learning_rate(lr_schedule(epoch));
+    epoch_stats = {};
+    for_each_chunk(rng, train_chunk);
+
+    const bool log_epoch = epoch % options_.log_every_epochs == 0 || epoch == options_.epochs;
+    const bool need_val = !val.empty() && (options_.early_stop_patience > 0 || log_epoch);
+    const double val_acc = need_val ? accuracy(val, enc) : 0.0;
+    if (log_epoch) {
+      EpochStats es;
+      es.epoch = epoch;
+      es.train_loss = epoch_stats.loss;
+      es.train_accuracy = epoch_stats.count > 0 ? static_cast<double>(epoch_stats.correct) /
+                                                      static_cast<double>(epoch_stats.count)
+                                                : 0.0;
+      es.val_accuracy = val_acc;
+      history.push_back(es);
+    }
+    if (options_.early_stop_patience > 0 && !val.empty()) {
+      if (val_acc > best_val) {
+        best_val = val_acc;
+        epochs_since_best = 0;
+      } else if (++epochs_since_best >= options_.early_stop_patience) {
+        break;  // the paper's case 2 overfits past ~22 epochs; stop here
+      }
     }
   }
   return history;
 }
 
-/// Shared per-epoch tail of fit / fit_stream: validation, history row,
-/// early-stop bookkeeping. Returns true when training should stop.
-bool NeuralClassifier::finish_epoch(int epoch, const ml::TrainStats& epoch_stats,
-                                    const Dataset& val, const FeatureEncoder& enc,
-                                    std::vector<EpochStats>& history, double& best_val,
-                                    int& epochs_since_best) {
-  const bool need_val = !val.empty() && (options_.early_stop_patience > 0 ||
-                                         epoch % options_.log_every_epochs == 0 ||
-                                         epoch == options_.epochs);
-  const double val_acc = need_val ? accuracy(val, enc) : 0.0;
-  if (epoch % options_.log_every_epochs == 0 || epoch == options_.epochs) {
-    EpochStats es;
-    es.epoch = epoch;
-    es.train_loss = epoch_stats.loss;
-    es.train_accuracy = epoch_stats.count > 0 ? static_cast<double>(epoch_stats.correct) /
-                                                    static_cast<double>(epoch_stats.count)
-                                              : 0.0;
-    es.val_accuracy = val_acc;
-    history.push_back(es);
-  }
-  if (options_.early_stop_patience > 0 && !val.empty()) {
-    if (val_acc > best_val) {
-      best_val = val_acc;
-      epochs_since_best = 0;
-    } else if (++epochs_since_best >= options_.early_stop_patience) {
-      return true;
-    }
-  }
-  return false;
+std::vector<EpochStats> NeuralClassifier::fit(const Dataset& train, const Dataset& val,
+                                              const FeatureEncoder& enc) {
+  std::vector<std::size_t> order(train.size());
+  std::iota(order.begin(), order.end(), 0);
+  return train_epochs(train.num_features(), train.num_classes(), val, enc,
+                      [&](Rng& rng, const auto& train_chunk) {
+                        rng.shuffle(order);
+                        train_chunk(train, order);
+                      });
 }
 
 std::vector<EpochStats> NeuralClassifier::fit_stream(BatchStream& train, const Dataset& val,
                                                      const FeatureEncoder& enc,
                                                      std::size_t chunk_points) {
   if (chunk_points == 0) throw std::invalid_argument("chunk_points must be positive");
-  Rng rng(options_.seed);
-  fitted_input_dim_ = static_cast<std::size_t>(train.num_features());
-  fitted_vocab_ = uses_embedding() ? enc.vocab_sizes() : std::vector<int>{};
-  build_net(static_cast<std::size_t>(train.num_classes()), fitted_input_dim_, fitted_vocab_);
-  ml::Adam opt(options_.learning_rate);
-
-  std::vector<EpochStats> history;
-  double best_val = -1.0;
-  int epochs_since_best = 0;
-  const ml::ExponentialDecaySchedule lr_schedule{options_.learning_rate, options_.lr_decay};
-  ml::IntBatch int_batch;
-  ml::Matrix float_batch;
-  std::vector<std::int32_t> labels;
   Dataset chunk;
   // One order vector per chunk position, persisted across epochs: fit()
   // re-shuffles its (already shuffled) order every epoch rather than
   // re-shuffling a fresh iota, and the chunk boundaries are identical
   // every epoch, so persisting reproduces that exact permutation walk.
   std::vector<std::vector<std::size_t>> orders;
-  for (int epoch = 1; epoch <= options_.epochs; ++epoch) {
-    opt.set_learning_rate(lr_schedule(epoch));
-    train.reset();
-    ml::TrainStats epoch_stats;
-    std::size_t chunk_index = 0;
-    // Shuffling is per chunk (the whole point of streaming is never
-    // holding more than one chunk), so when one chunk covers the file this
-    // degenerates to fit()'s full shuffle with the identical Rng sequence
-    // — the bit-identity contract tested in tests/test_binary_io.cpp.
-    while (train.next_batch(chunk_points, chunk)) {
-      if (chunk_index == orders.size()) {
-        orders.emplace_back(chunk.size());
-        std::iota(orders.back().begin(), orders.back().end(), 0);
-      }
-      std::vector<std::size_t>& order = orders[chunk_index++];
-      rng.shuffle(order);
-      for (std::size_t begin = 0; begin < chunk.size(); begin += options_.batch_size) {
-        const std::size_t end = std::min(chunk.size(), begin + options_.batch_size);
-        labels.resize(end - begin);
-        for (std::size_t i = begin; i < end; ++i) labels[i - begin] = chunk[order[i]].label;
-        if (uses_embedding()) {
-          enc.encode_int_gather_into(chunk, order, begin, end, int_batch);
-          epoch_stats += net_->train_batch(int_batch, labels, opt);
-        } else {
-          enc.encode_float_gather_into(chunk, order, begin, end, float_batch);
-          epoch_stats += net_->train_batch(float_batch, labels, opt);
-        }
-      }
-    }
-    if (finish_epoch(epoch, epoch_stats, val, enc, history, best_val, epochs_since_best)) {
-      break;  // same early-stop rule as fit()
-    }
-  }
-  return history;
+  // Shuffling is per chunk (the whole point of streaming is never holding
+  // more than one chunk), so when one chunk covers the file this
+  // degenerates to fit()'s full shuffle with the identical Rng sequence —
+  // the bit-identity contract tested in tests/test_binary_io.cpp.
+  return train_epochs(train.num_features(), train.num_classes(), val, enc,
+                      [&](Rng& rng, const auto& train_chunk) {
+                        train.reset();
+                        for (std::size_t c = 0; train.next_batch(chunk_points, chunk); ++c) {
+                          if (c == orders.size()) {
+                            orders.emplace_back(chunk.size());
+                            std::iota(orders.back().begin(), orders.back().end(), 0);
+                          }
+                          rng.shuffle(orders[c]);
+                          train_chunk(chunk, orders[c]);
+                        }
+                      });
 }
 
 std::vector<std::int32_t> NeuralClassifier::predict(const Dataset& ds,

@@ -76,9 +76,13 @@ class NeuralClassifier final : public Classifier {
  private:
   bool uses_embedding() const { return options_.embed_dim > 0; }
   void build_net(std::size_t classes, std::size_t input_dim, const std::vector<int>& vocab);
-  bool finish_epoch(int epoch, const ml::TrainStats& epoch_stats, const Dataset& val,
-                    const FeatureEncoder& enc, std::vector<EpochStats>& history,
-                    double& best_val, int& epochs_since_best);
+  /// The epoch loop shared by fit() and fit_stream(), which differ only in
+  /// where each epoch's chunks and their batch order come from:
+  /// for_each_chunk(rng, train_chunk) must shuffle each chunk's order with
+  /// `rng` and then call train_chunk(chunk, order), chunk by chunk.
+  template <typename ForEachChunk>
+  std::vector<EpochStats> train_epochs(int num_features, int num_classes, const Dataset& val,
+                                       const FeatureEncoder& enc, ForEachChunk&& for_each_chunk);
 
   std::string name_;
   Options options_;

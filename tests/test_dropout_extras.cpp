@@ -16,21 +16,21 @@ using ml::Matrix;
 TEST(Dropout, IdentityAtInference) {
   DropoutLayer layer(0.5, 1);
   Matrix x(4, 8, 2.0f);
-  const Matrix y = layer.forward(x, /*training=*/false);
+  const Matrix y = layer.infer(x);
   for (std::size_t i = 0; i < y.size(); ++i) EXPECT_FLOAT_EQ(y.data()[i], 2.0f);
 }
 
 TEST(Dropout, ZeroRateIsIdentityInTraining) {
   DropoutLayer layer(0.0, 1);
   Matrix x(4, 8, 3.0f);
-  const Matrix y = layer.forward(x, /*training=*/true);
+  const Matrix y = layer.forward(x);
   for (std::size_t i = 0; i < y.size(); ++i) EXPECT_FLOAT_EQ(y.data()[i], 3.0f);
 }
 
 TEST(Dropout, DropsApproximatelyRateFraction) {
   DropoutLayer layer(0.3, 7);
   Matrix x(100, 100, 1.0f);
-  const Matrix y = layer.forward(x, /*training=*/true);
+  const Matrix y = layer.forward(x);
   std::size_t zeros = 0;
   for (std::size_t i = 0; i < y.size(); ++i) {
     if (y.data()[i] == 0.0f) {
@@ -46,7 +46,7 @@ TEST(Dropout, DropsApproximatelyRateFraction) {
 TEST(Dropout, BackwardUsesSameMask) {
   DropoutLayer layer(0.5, 11);
   Matrix x(10, 10, 1.0f);
-  const Matrix y = layer.forward(x, /*training=*/true);
+  const Matrix y = layer.forward(x);
   Matrix grad(10, 10, 1.0f);
   const Matrix gx = layer.backward(grad);
   for (std::size_t i = 0; i < y.size(); ++i) {

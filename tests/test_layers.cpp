@@ -46,16 +46,16 @@ TEST(GradCheck, DenseInputGradient) {
   Matrix x = random_matrix(5, 4, rng);
   const Matrix coeff = random_matrix(5, 3, rng);
 
-  layer.forward(x, true);
+  layer.forward(x);
   const Matrix grad_in = layer.backward(coeff);
 
   for (std::size_t r = 0; r < x.rows(); ++r) {
     for (std::size_t c = 0; c < x.cols(); ++c) {
       const float orig = x(r, c);
       x(r, c) = orig + kEps;
-      const double plus = weighted_sum(layer.forward(x, true), coeff);
+      const double plus = weighted_sum(layer.forward(x), coeff);
       x(r, c) = orig - kEps;
-      const double minus = weighted_sum(layer.forward(x, true), coeff);
+      const double minus = weighted_sum(layer.forward(x), coeff);
       x(r, c) = orig;
       const float numeric = static_cast<float>((plus - minus) / (2.0 * kEps));
       expect_close(grad_in(r, c), numeric, "dX[" + std::to_string(r) + "," + std::to_string(c) + "]");
@@ -69,7 +69,7 @@ TEST(GradCheck, DenseParamGradients) {
   const Matrix x = random_matrix(4, 3, rng);
   const Matrix coeff = random_matrix(4, 2, rng);
 
-  layer.forward(x, true);
+  layer.forward(x);
   layer.backward(coeff);
   auto params = layer.params();  // [0] = W, [1] = b
 
@@ -78,9 +78,9 @@ TEST(GradCheck, DenseParamGradients) {
       const float analytic = p.grad[i];
       const float orig = p.value[i];
       p.value[i] = orig + kEps;
-      const double plus = weighted_sum(layer.forward(x, true), coeff);
+      const double plus = weighted_sum(layer.forward(x), coeff);
       p.value[i] = orig - kEps;
-      const double minus = weighted_sum(layer.forward(x, true), coeff);
+      const double minus = weighted_sum(layer.forward(x), coeff);
       p.value[i] = orig;
       const float numeric = static_cast<float>((plus - minus) / (2.0 * kEps));
       expect_close(analytic, numeric, "param[" + std::to_string(i) + "]");
@@ -94,7 +94,7 @@ TEST(GradCheck, ReluGradient) {
   Matrix x = random_matrix(6, 5, rng);
   const Matrix coeff = random_matrix(6, 5, rng);
 
-  layer.forward(x, true);
+  layer.forward(x);
   const Matrix grad_in = layer.backward(coeff);
   for (std::size_t i = 0; i < x.size(); ++i) {
     const float expected = x.data()[i] > 0.0f ? coeff.data()[i] : 0.0f;

@@ -87,30 +87,8 @@ std::vector<ParamRef> one_param(std::vector<float>& w, std::vector<float>& g) {
   return {{w.data(), g.data(), w.size()}};
 }
 
-TEST(Sgd, BasicStep) {
-  std::vector<float> w = {1.0f, 2.0f};
-  std::vector<float> g = {0.5f, -1.0f};
-  Sgd opt(0.1);
-  opt.step(one_param(w, g));
-  EXPECT_FLOAT_EQ(w[0], 0.95f);
-  EXPECT_FLOAT_EQ(w[1], 2.1f);
-}
-
-TEST(Momentum, AcceleratesAlongConstantGradient) {
-  std::vector<float> w = {0.0f};
-  std::vector<float> g = {1.0f};
-  SgdMomentum opt(0.1, 0.9);
-  opt.step(one_param(w, g));
-  const float first_step = -w[0];
-  const float w_before = w[0];
-  opt.step(one_param(w, g));
-  const float second_step = w_before - w[0];
-  EXPECT_GT(second_step, first_step);
-}
-
 // Quadratic bowl: L = 0.5 * sum(w^2); gradient = w.
-template <typename Opt>
-double minimize_quadratic(Opt& opt, int steps) {
+double minimize_quadratic(Adam& opt, int steps) {
   std::vector<float> w = {5.0f, -3.0f, 1.0f};
   std::vector<float> g(3);
   for (int s = 0; s < steps; ++s) {
@@ -120,16 +98,6 @@ double minimize_quadratic(Opt& opt, int steps) {
   double norm = 0.0;
   for (float v : w) norm += v * v;
   return norm;
-}
-
-TEST(Sgd, ConvergesOnQuadratic) {
-  Sgd opt(0.1);
-  EXPECT_LT(minimize_quadratic(opt, 200), 1e-6);
-}
-
-TEST(Momentum, ConvergesOnQuadratic) {
-  SgdMomentum opt(0.05, 0.9);
-  EXPECT_LT(minimize_quadratic(opt, 300), 1e-4);
 }
 
 TEST(Adam, ConvergesOnQuadratic) {
@@ -153,10 +121,6 @@ TEST(Optimizers, ParameterListChangeRejected) {
   adam.step(one_param(w1, g1));
   std::vector<ParamRef> two = {{w1.data(), g1.data(), 1}, {w2.data(), g2.data(), 2}};
   EXPECT_THROW(adam.step(two), std::logic_error);
-
-  SgdMomentum mom;
-  mom.step(one_param(w1, g1));
-  EXPECT_THROW(mom.step(two), std::logic_error);
 }
 
 }  // namespace

@@ -1,10 +1,11 @@
-// Bit-identity property suite for the fast matmul (src/ml/matrix.cpp) —
-// the column-blocked, panel-packed kernel and the small-batch streaming
-// path — against the retained reference ikj loop, plus the zero-skip
-// contract pins and a concurrent-training stress that makes
-// `ctest -L tsan` exercise the column-parallel kernel with real threads.
+// Bit-identity property suite for the matmul (src/ml/matrix.cpp) — the
+// column-blocked, panel-packed kernel and the small-batch streaming path —
+// against the seed's ikj loop in the test oracle
+// (tests/reference/ml_reference.hpp), plus the zero-skip contract pins and
+// a concurrent-training stress that makes `ctest -L tsan` exercise the
+// column-parallel kernel with real threads.
 //
-// The fast path must match matmul_reference BIT FOR BIT on every shape,
+// matmul must match matmul_reference BIT FOR BIT on every shape,
 // transpose combination, and alpha/beta pair — including operands with
 // dropout/ReLU-style random zeros, which flip the kernel between its
 // branchy and branch-free flavours. Every comparison runs at
@@ -20,53 +21,20 @@
 #include <cstring>
 #include <limits>
 #include <random>
-#include <string>
 #include <thread>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "ml/network.hpp"
 #include "ml/optimizer.hpp"
+#include "reference/ml_reference.hpp"
 
 namespace {
 
-using airch::ml::KernelMode;
 using airch::ml::Matrix;
 using airch::ml::matmul;
 using airch::ml::matmul_reference;
-using airch::ml::set_kernel_mode;
-
-/// RAII guard so a failing test cannot leave the process-wide mode flipped.
-class KernelModeGuard {
- public:
-  explicit KernelModeGuard(KernelMode m) : saved_(airch::ml::kernel_mode()) {
-    set_kernel_mode(m);
-  }
-  ~KernelModeGuard() { set_kernel_mode(saved_); }
-
- private:
-  KernelMode saved_;
-};
-
-/// RAII override of AIRCH_THREADS (the matmul reads it per call), restoring
-/// the previous value — or its absence — on scope exit.
-class ThreadsGuard {
- public:
-  explicit ThreadsGuard(const char* threads) {
-    if (const char* old = std::getenv("AIRCH_THREADS")) saved_ = old;
-    setenv("AIRCH_THREADS", threads, 1);
-  }
-  ~ThreadsGuard() {
-    if (saved_.empty()) {
-      unsetenv("AIRCH_THREADS");
-    } else {
-      setenv("AIRCH_THREADS", saved_.c_str(), 1);
-    }
-  }
-
- private:
-  std::string saved_;
-};
+using airch::ml::ThreadsGuard;
 
 void fill_random(Matrix& m, std::mt19937& rng, double zero_fraction) {
   std::uniform_real_distribution<float> dist(-2.0f, 2.0f);
@@ -81,7 +49,7 @@ bool bit_equal(const Matrix& x, const Matrix& y) {
          std::memcmp(x.data(), y.data(), x.size() * sizeof(float)) == 0;
 }
 
-/// Bit-compares the fast kernel against the reference on fixed operands
+/// Bit-compares the kernel against the reference on fixed operands
 /// and a shared C seed, at AIRCH_THREADS=1 and 2: one worker, and the
 /// column split between two workers wherever the shape is big enough.
 void expect_bit_identical(const Matrix& a, bool trans_a, const Matrix& b, bool trans_b,
@@ -92,10 +60,7 @@ void expect_bit_identical(const Matrix& a, bool trans_a, const Matrix& b, bool t
   for (const char* threads : {"1", "2"}) {
     const ThreadsGuard threads_guard(threads);
     Matrix c_fast = c_seed;
-    {
-      KernelModeGuard guard(KernelMode::kFast);
-      matmul(a, trans_a, b, trans_b, c_fast, alpha, beta);
-    }
+    matmul(a, trans_a, b, trans_b, c_fast, alpha, beta);
     ASSERT_TRUE(bit_equal(c_ref, c_fast))
         << "m=" << c_seed.rows() << " k=" << (trans_a ? a.rows() : a.cols())
         << " n=" << c_seed.cols() << " ta=" << trans_a << " tb=" << trans_b
@@ -104,7 +69,7 @@ void expect_bit_identical(const Matrix& a, bool trans_a, const Matrix& b, bool t
 }
 
 /// One randomized case: build op(A) (m x k), op(B) (k x n), a shared C
-/// seed, and bit-compare the fast kernel against the reference.
+/// seed, and bit-compare the kernel against the reference.
 void check_case(std::mt19937& rng, std::size_t m, std::size_t k, std::size_t n, bool trans_a,
                 bool trans_b, float alpha, float beta, double zero_fraction) {
   Matrix a(trans_a ? k : m, trans_a ? m : k);
@@ -251,7 +216,8 @@ TEST(MatmulKernel, InfInOneColumnBlockOnly) {
 
 TEST(MatmulKernel, FormerTinyShortcutShapes) {
   // The smallest shapes — single rows, products of a few thousand flops —
-  // run the fast path too: there is no size cut-off to the reference loop.
+  // run the blocked or streaming kernel too: matmul has no size cut-off
+  // to a plain loop.
   std::mt19937 rng(5);
   struct Shape {
     std::size_t m, k, n;
@@ -274,7 +240,6 @@ TEST(MatmulKernel, FormerTinyShortcutShapes) {
 // network layers — dropout/ReLU hand the kernel rows full of zeros — and
 // for serialization, where -0.0f vs +0.0f would round-trip differently.
 TEST(MatmulKernel, ZeroRowInAContributesExactlyPositiveZero) {
-  KernelModeGuard guard(KernelMode::kFast);
   std::mt19937 rng(11);
   Matrix a(48, 40);
   fill_random(a, rng, 0.3);
@@ -295,7 +260,6 @@ TEST(MatmulKernel, ZeroRowNeverProducesNanFromInfinity) {
   // 0 * inf would be NaN if the zero terms were multiplied through; the
   // contract says they are skipped, so an all-zero A row stays +0.0f even
   // against an infinite B.
-  KernelModeGuard guard(KernelMode::kFast);
   std::mt19937 rng(13);
   Matrix a(40, 36);
   fill_random(a, rng, 0.5);
@@ -320,7 +284,6 @@ TEST(MatmulKernel, ZeroRowNeverProducesNanFromInfinity) {
 TEST(MatmulKernel, BetaPreservesNegativeZeroInC) {
   // With beta == 1 and a zero A row, C's row must pass through untouched —
   // including a -0.0f, which an `acc += +0.0f` would silently flip.
-  KernelModeGuard guard(KernelMode::kFast);
   std::mt19937 rng(17);
   Matrix a(33, 40);
   fill_random(a, rng, 0.4);
@@ -339,13 +302,11 @@ TEST(MatmulKernel, BetaPreservesNegativeZeroInC) {
 }
 
 // Concurrent-training stress (tsan label): several threads each drive an
-// independent FeedForwardNet through training batches while the kernel
-// mode is kFast and AIRCH_THREADS forces the column-parallel matmul to fork
-// its own nested workers. Per-thread nets share no state, so TSan flags
+// independent FeedForwardNet through training batches while AIRCH_THREADS
+// forces the column-parallel matmul to fork its own nested workers. Per-thread nets share no state, so TSan flags
 // any accidental sharing inside the kernel layer (packing scratch,
 // dispatch statics, worker handoff).
 TEST(MatmulKernel, ConcurrentTrainingIsRaceFreeAndDeterministic) {
-  KernelModeGuard guard(KernelMode::kFast);
   ASSERT_EQ(setenv("AIRCH_THREADS", "4", 1), 0);
   constexpr int kThreads = 3;
   constexpr int kSteps = 4;

@@ -106,11 +106,15 @@ TEST(FeedForwardNet, ModalityMismatchThrows) {
   FeedForwardNet float_net(4, {8}, 2, rng);
   IntBatch ints;
   ints.resize(1, 4);
-  EXPECT_THROW(float_net.logits(ints, false), std::logic_error);
+  const std::vector<std::int32_t> y = {0};
+  Adam opt;
+  EXPECT_THROW((void)float_net.infer_logits(ints), std::logic_error);
+  EXPECT_THROW((void)float_net.train_batch(ints, y, opt), std::logic_error);
 
   FeedForwardNet embed_net({4, 4, 4, 4}, 4, {8}, 2, rng);
   Matrix floats(1, 4);
-  EXPECT_THROW(embed_net.logits(floats, false), std::logic_error);
+  EXPECT_THROW((void)embed_net.infer_logits(floats), std::logic_error);
+  EXPECT_THROW((void)embed_net.train_batch(floats, y, opt), std::logic_error);
 }
 
 TEST(FeedForwardNet, ParamsCoverAllLayers) {
@@ -166,7 +170,7 @@ TEST(Sequential, ForwardBackwardShapes) {
   seq.add(std::make_unique<ReluLayer>());
   seq.add(std::make_unique<DenseLayer>(4, 2, rng));
   Matrix x(3, 6, 0.5f);
-  const Matrix out = seq.forward(x, true);
+  const Matrix out = seq.forward(x);
   EXPECT_EQ(out.rows(), 3u);
   EXPECT_EQ(out.cols(), 2u);
   Matrix grad(3, 2, 1.0f);

@@ -14,7 +14,7 @@
 # --snapshot-points/--writer-points default to --points) exercises a real
 # sweep-cache snapshot save→load→warm-regenerate and a binary dataset
 # write→read round trip per run — and of bench_train_throughput — which
-# asserts the naive and fast kernel paths produce bit-identical loss
+# asserts that its fits at 1, 2 and 4 threads produce bit-identical loss
 # trajectories — and validates the emitted JSON against the shared schema
 # gate (tools/validate_bench.py, also invoked by CI so the two can't
 # drift), which requires the snapshot section to report
@@ -158,7 +158,7 @@ for stage in "${STAGES[@]}"; do
       run cmake --preset tsan
       run cmake --build build-tsan -j "$JOBS" --target \
         test_parallel test_sanitizer_stress test_sweep_cache test_matmul_kernel \
-        test_sync test_serve lint_airch
+        test_ml_oracle test_sync test_serve lint_airch
       TSAN_OPTIONS=halt_on_error=1 AIRCH_THREADS=4 \
         run ctest --test-dir build-tsan -L tsan --output-on-failure
       ;;

@@ -63,12 +63,22 @@ def validate_dataset(d):
 
 def validate_train(d, expect_infer_queries):
     require(d.get("bench") == "train_throughput", "bench != train_throughput")
-    # The bench itself compares the naive and fast kernel loss trajectories
-    # float-for-float; a report with this flag unset must never be waved
-    # through even if it otherwise parses.
+    # The bench itself compares every thread count's loss trajectory with
+    # the 1-thread one float-for-float; a report with this flag unset must
+    # never be waved through even if it otherwise parses.
     require(d.get("trajectory_bit_identical") is True, "trajectory_bit_identical is not True")
-    require(len(d.get("results", [])) == 2, "expected 2 results (naive/fast)")
-    require(d.get("train_speedup", 0) > 0, "train_speedup must be positive")
+    # One row per thread count: 1, then doubling, ending at "threads".
+    results = d.get("results", [])
+    require(len(results) >= 1, "expected at least one thread-count result")
+    threads = [r.get("threads", 0) for r in results]
+    require(threads[0] == 1, "the first result must be at 1 thread")
+    require(all(a < b for a, b in zip(threads, threads[1:])),
+            "result thread counts must strictly increase")
+    require(threads[-1] == d.get("threads"), "the last result must be at the top-level thread count")
+    for r in results:
+        t = r["threads"]
+        for key in ("seconds", "epochs_per_sec", "samples_per_sec", "speedup_vs_1_thread"):
+            require(r.get(key, 0) > 0, f"{t} thread(s): {key} must be positive")
     infer = d.get("infer", {})
     require(infer.get("batched_us_per_query", 0) > 0, "infer.batched_us_per_query must be positive")
     if expect_infer_queries is not None:
