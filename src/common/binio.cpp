@@ -1,5 +1,6 @@
 #include "common/binio.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <stdexcept>
 
@@ -12,6 +13,7 @@ namespace {
 // copies; scalar put/get paths encode through explicit shifts so the file
 // format is little-endian regardless of host order.
 constexpr std::size_t kCopyChunk = 1 << 16;
+constexpr std::size_t kFloatsPerChunk = kCopyChunk / 4;
 
 }  // namespace
 
@@ -53,6 +55,23 @@ void BinWriter::put_bytes(const void* data, std::size_t n) {
   const auto* p = static_cast<const unsigned char*>(data);
   sum_.update(p, n);
   out_.write(reinterpret_cast<const char*>(p), static_cast<std::streamsize>(n));
+}
+
+void BinWriter::put_f32s(const float* data, std::size_t n) {
+  unsigned char chunk[kCopyChunk];
+  while (n > 0) {
+    const std::size_t step = std::min(n, kFloatsPerChunk);
+    for (std::size_t i = 0; i < step; ++i) {
+      const auto bits = std::bit_cast<std::uint32_t>(data[i]);
+      for (int b = 0; b < 4; ++b) {
+        chunk[4 * i + static_cast<std::size_t>(b)] =
+            static_cast<unsigned char>((bits >> (8 * b)) & 0xFFu);
+      }
+    }
+    put_bytes(chunk, 4 * step);
+    data += step;
+    n -= step;
+  }
 }
 
 void BinWriter::put_trailer_checksum() {
@@ -113,6 +132,24 @@ void BinReader::get_bytes(void* out, std::size_t n) {
               "BinReader: read failed in " + path_);
   sum_.update(static_cast<const unsigned char*>(out), n);
   pos_ += n;
+}
+
+void BinReader::get_f32s(float* out, std::size_t n) {
+  AIRCH_CHECK(n <= remaining() / 4, "BinReader: truncated file (short read) in " + path_);
+  unsigned char chunk[kCopyChunk];
+  while (n > 0) {
+    const std::size_t step = std::min(n, kFloatsPerChunk);
+    get_bytes(chunk, 4 * step);
+    for (std::size_t i = 0; i < step; ++i) {
+      std::uint32_t bits = 0;
+      for (int b = 0; b < 4; ++b) {
+        bits |= static_cast<std::uint32_t>(chunk[4 * i + static_cast<std::size_t>(b)]) << (8 * b);
+      }
+      out[i] = std::bit_cast<float>(bits);
+    }
+    out += step;
+    n -= step;
+  }
 }
 
 void BinReader::skip_bytes(std::uint64_t n) {

@@ -1,7 +1,9 @@
 #pragma once
 // Checksummed little-endian binary stream primitives, shared by the
-// sweep-cache snapshot format (search/sweep_cache) and the binary dataset
-// format (dataset/binary_io). Both formats follow the same discipline:
+// sweep-cache snapshot format (search/sweep_cache), the binary dataset
+// format (dataset/binary_io) and the recommender model files
+// (core/recommender, framing the classifier's tensors and the feature
+// encoder's columns). All three formats follow the same discipline:
 //
 //   header (magic, format version, identity fields, counts)
 //   payload (fixed-width little-endian records)
@@ -29,8 +31,8 @@
 // apply it only after verify_trailer_checksum() passes.
 //
 // Encoding is explicit little-endian (byte shifts, not memcpy), so files
-// are portable across hosts; doubles travel as their IEEE-754 bit
-// pattern, which keeps round-trips bit-exact.
+// are portable across hosts; doubles and floats travel as their IEEE-754
+// bit patterns, which keeps round-trips bit-exact.
 
 #include <cstddef>
 #include <cstdint>
@@ -115,6 +117,9 @@ class BinWriter {
   /// IEEE-754 bit pattern; round-trips bit-exactly through get_f64().
   void put_f64(double v);
   void put_bytes(const void* data, std::size_t n);
+  /// `n` floats as little-endian IEEE-754 bit patterns, encoded through a
+  /// bounded stack chunk that is checksummed and written in the same pass.
+  void put_f32s(const float* data, std::size_t n);
 
   /// Digest over every byte written so far.
   [[nodiscard]] std::uint64_t checksum() const { return sum_.digest(); }
@@ -144,6 +149,10 @@ class BinReader {
   [[nodiscard]] std::int64_t get_i64() { return static_cast<std::int64_t>(get_u64()); }
   [[nodiscard]] double get_f64();
   void get_bytes(void* out, std::size_t n);
+  /// Reads `n` floats written by put_f32s() straight into `out`, through
+  /// a bounded chunk (no whole-payload buffer). Checks that 4*n bytes
+  /// remain before writing any of `out`.
+  void get_f32s(float* out, std::size_t n);
   /// Consumes `n` bytes (folding them into the checksum) without storing.
   void skip_bytes(std::uint64_t n);
 

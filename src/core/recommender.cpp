@@ -1,10 +1,10 @@
 #include "core/recommender.hpp"
 
 #include <algorithm>
-#include <fstream>
 #include <numeric>
 #include <stdexcept>
 
+#include "common/binio.hpp"
 #include "common/check.hpp"
 
 namespace airch {
@@ -13,10 +13,16 @@ Recommender::Recommender(const CaseStudy& study, std::unique_ptr<NeuralClassifie
                          std::unique_ptr<FeatureEncoder> encoder)
     : study_(&study), model_(std::move(model)), encoder_(std::move(encoder)) {
   if (!model_ || !encoder_) throw std::invalid_argument("null model or encoder");
+  // The embedding front-end trusts the encoder's column count (checked
+  // only by AIRCH_ASSERT), so a mismatch must never reach a query.
+  AIRCH_CHECK(model_->accepts(*encoder_), "model and encoder disagree on the input columns");
 }
 
 Recommender Recommender::train(const CaseStudy& study, const TrainOptions& options) {
-  Dataset data = study.generate(options.dataset_size, options.seed);
+  return fit(study, study.generate(options.dataset_size, options.seed), options);
+}
+
+Recommender Recommender::fit(const CaseStudy& study, Dataset data, const TrainOptions& options) {
   Rng rng(options.seed ^ 0xA5A5A5A5ULL);
   data.shuffle(rng);
   auto [train, val] = data.split(options.train_frac);
@@ -68,34 +74,37 @@ std::vector<std::int32_t> Recommender::recommend_topk(
 }
 
 void Recommender::save(const std::string& path) const {
-  std::ofstream os(path);
-  if (!os) throw std::runtime_error("cannot open for writing: " + path);
-  os << "airchitect-recommender v1\n";
-  os << static_cast<int>(study_->id()) << ' ' << study_->num_classes() << '\n';
-  // max_digits10 = 17 so the double round-trips exactly; the default
-  // 6-digit formatting silently degraded val_accuracy on reload.
-  os.precision(17);
-  os << report_.val_accuracy << '\n';
-  model_->save(os);
-  encoder_->save(os);
-  if (!os) throw std::runtime_error("write failed: " + path);
+  BinWriter w(path);
+  w.put_u64(kModelMagic);
+  w.put_u32(kModelFormatVersion);
+  w.put_u32(static_cast<std::uint32_t>(study_->id()));
+  w.put_u32(static_cast<std::uint32_t>(study_->num_classes()));
+  w.put_f64(report_.val_accuracy);
+  model_->save(w);
+  encoder_->save(w);
+  w.put_trailer_checksum();
+  w.finish();
 }
 
 Recommender Recommender::load(const std::string& path, const CaseStudy& study) {
-  std::ifstream is(path);
-  if (!is) throw std::runtime_error("cannot open for reading: " + path);
-  std::string magic, version;
-  if (!(is >> magic >> version) || magic != "airchitect-recommender" || version != "v1") {
-    throw std::runtime_error("bad recommender header");
+  BinReader r(path);
+  AIRCH_CHECK(r.get_u64() == kModelMagic, "not a model file: " + path);
+  AIRCH_CHECK(r.get_u32() == kModelFormatVersion, "unsupported model format version in " + path);
+  const std::uint32_t case_id = r.get_u32();
+  const std::uint32_t classes = r.get_u32();
+  const double val_acc = r.get_f64();
+  auto model = NeuralClassifier::load(r);
+  auto encoder = std::make_unique<FeatureEncoder>(FeatureEncoder::load(r));
+  r.verify_trailer_checksum();
+  AIRCH_CHECK(r.remaining() == 0, "trailing bytes after checksum in " + path);
+  AIRCH_CHECK(model->num_classes() == classes,
+              "classifier class count does not match the header in " + path);
+  // Identity is judged on a verified file, so corruption of these fields
+  // reads as corruption above, never as a wrong study.
+  if (case_id != static_cast<std::uint32_t>(study.id()) ||
+      classes != static_cast<std::uint32_t>(study.num_classes())) {
+    throw std::runtime_error("recommender was trained for a different case study: " + path);
   }
-  int case_id = 0, classes = 0;
-  double val_acc = 0.0;
-  if (!(is >> case_id >> classes >> val_acc)) throw std::runtime_error("bad recommender metadata");
-  if (case_id != static_cast<int>(study.id()) || classes != study.num_classes()) {
-    throw std::runtime_error("recommender was trained for a different case study");
-  }
-  auto model = NeuralClassifier::load(is);
-  auto encoder = std::make_unique<FeatureEncoder>(FeatureEncoder::load(is));
   Recommender rec(study, std::move(model), std::move(encoder));
   rec.report_.val_accuracy = val_acc;
   return rec;

@@ -15,6 +15,13 @@
 
 namespace airch {
 
+/// First 8 bytes of every model file ("AIRMODL1" in LE byte order);
+/// exposed so tests can craft fixtures with valid checksums.
+inline constexpr std::uint64_t kModelMagic = 0x314C444F4D524941ULL;
+/// Bumped whenever the model file layout changes; readers reject any
+/// other version instead of misparsing.
+inline constexpr std::uint32_t kModelFormatVersion = 1;
+
 struct RecommenderTrainOptions {
   std::size_t dataset_size = 50000;
   std::uint64_t seed = 42;
@@ -31,11 +38,21 @@ class Recommender {
     double val_accuracy = 0.0;
   };
 
-  /// Trains an AIRCHITECT model for `study` on freshly generated data.
+  /// Trains an AIRCHITECT model for `study` on freshly generated data
+  /// (options.dataset_size points drawn with options.seed), via fit().
   /// `study` must outlive the recommender.
   static Recommender train(const CaseStudy& study, const TrainOptions& options = {});
 
-  /// Wraps an already-fitted classifier (ownership transferred).
+  /// Trains an AIRCHITECT model for `study` on `data`: shuffles it with
+  /// options.seed, splits off options.train_frac for training, fits the
+  /// encoder on that split, and reports the last epoch's validation
+  /// accuracy. options.dataset_size is ignored. Throws
+  /// std::invalid_argument when the training split is empty.
+  static Recommender fit(const CaseStudy& study, Dataset data, const TrainOptions& options = {});
+
+  /// Wraps an already-fitted classifier (ownership transferred). The
+  /// encoder must produce the input the classifier reads (see
+  /// NeuralClassifier::accepts); a mismatch throws ContractViolation.
   Recommender(const CaseStudy& study, std::unique_ptr<NeuralClassifier> model,
               std::unique_ptr<FeatureEncoder> encoder);
 
@@ -56,10 +73,21 @@ class Recommender {
                                            int k) const;
 
   /// Persistence: a saved recommender can be reloaded and queried without
-  /// regenerating data or retraining.
+  /// regenerating data or retraining. A model file is one checksummed
+  /// common/binio stream, all little-endian:
+  ///
+  ///   u64 magic ("AIRMODL1")   u32 format version   u32 case id
+  ///   u32 class count          f64 val_accuracy
+  ///   the classifier (NeuralClassifier::save): name, architecture,
+  ///     fitted shape and vocab, each parameter tensor as raw float32
+  ///   the encoder's columns (FeatureEncoder::save)
+  ///   u64 trailer checksum over every preceding byte
   void save(const std::string& path) const;
   /// `study` must be the same case study (id and output-space size are
-  /// verified) and must outlive the recommender.
+  /// verified) and must outlive the recommender. A missing file or a model
+  /// of another study throws std::runtime_error. A corrupt, truncated or
+  /// inconsistent file throws ContractViolation; the file is decoded and
+  /// its trailer verified before anything is built from it.
   static Recommender load(const std::string& path, const CaseStudy& study);
 
   /// Typed queries; each checks that the underlying study matches.

@@ -2,13 +2,29 @@
 
 #include <algorithm>
 #include <cmath>
-#include <istream>
-#include <ostream>
 #include <stdexcept>
 
+#include "common/binio.hpp"
 #include "common/check.hpp"
 
 namespace airch {
+namespace {
+
+/// Stored standard deviations are at least this (fit() replaces a smaller
+/// one by 1), so standardize() never divides by zero.
+constexpr double kMinStddev = 1e-9;
+/// log1p of any int64 is below 44, so fit() never produces a log1p mean or
+/// standard deviation above this; a loaded one that exceeds it is corrupt.
+constexpr double kMaxLogMoment = 64.0;
+/// Caps on a loaded encoder's column count and keys per column. Far above
+/// any fit (case 3 has 12 columns, max_vocab defaults to 64), and a column
+/// never holds more keys than an int vocab can number.
+constexpr std::uint32_t kMaxColumns = 4096;
+constexpr std::uint32_t kMaxKeys = 1u << 24;
+/// Smallest encoded column: kind, two moments, key count and one key.
+constexpr std::uint64_t kMinColumnBytes = 4 + 8 + 8 + 4 + 8;
+
+}  // namespace
 
 std::int32_t FeatureEncoder::Column::bucket_of(std::int64_t v) const {
   std::int32_t bucket = 0;
@@ -20,8 +36,12 @@ std::int32_t FeatureEncoder::Column::bucket_of(std::int64_t v) const {
     } else if (it->first == v || it == value_to_index.begin()) {
       bucket = it->second;
     } else {
+      // prev->first < v < it->first: both distances fit in uint64_t even
+      // where their signed difference would overflow.
       auto prev = std::prev(it);
-      bucket = (v - prev->first <= it->first - v) ? prev->second : it->second;
+      const auto below = static_cast<std::uint64_t>(v) - static_cast<std::uint64_t>(prev->first);
+      const auto above = static_cast<std::uint64_t>(it->first) - static_cast<std::uint64_t>(v);
+      bucket = below <= above ? prev->second : it->second;
     }
   } else {
     const auto it = std::lower_bound(boundaries.begin(), boundaries.end(), v);
@@ -66,7 +86,7 @@ FeatureEncoder::FeatureEncoder(const Dataset& train, int max_vocab) {
       var += d * d;
     }
     c.stddev = std::sqrt(var / static_cast<double>(values.size()));
-    if (c.stddev < 1e-9) c.stddev = 1.0;  // constant column
+    if (c.stddev < kMinStddev) c.stddev = 1.0;  // constant column
 
     // Bucket vocabulary.
     std::vector<std::int64_t> sorted = values;
@@ -216,48 +236,52 @@ ml::Matrix FeatureEncoder::encode_float_batch(
   return out;
 }
 
-void FeatureEncoder::save(std::ostream& os) const {
-  os << "encoder v1 " << columns_.size() << "\n";
-  os.precision(17);
+void FeatureEncoder::save(BinWriter& w) const {
+  w.put_u32(static_cast<std::uint32_t>(columns_.size()));
   for (const auto& c : columns_) {
-    os << (c.exact ? "exact" : "quantile") << ' ' << c.mean << ' ' << c.stddev << ' ';
+    w.put_u32(c.exact ? 1 : 0);
+    w.put_f64(c.mean);
+    w.put_f64(c.stddev);
+    // An exact column's indices are its keys' ranks, so the keys alone
+    // restore the map.
+    w.put_u32(static_cast<std::uint32_t>(c.exact ? c.value_to_index.size() : c.boundaries.size()));
     if (c.exact) {
-      os << c.value_to_index.size();
-      for (const auto& [v, idx] : c.value_to_index) os << ' ' << v << ' ' << idx;
+      for (const auto& entry : c.value_to_index) w.put_i64(entry.first);
     } else {
-      os << c.boundaries.size();
-      for (auto b : c.boundaries) os << ' ' << b;
+      for (auto b : c.boundaries) w.put_i64(b);
     }
-    os << '\n';
   }
 }
 
-FeatureEncoder FeatureEncoder::load(std::istream& is) {
-  std::string magic, version;
-  std::size_t ncols = 0;
-  if (!(is >> magic >> version >> ncols) || magic != "encoder" || version != "v1") {
-    throw std::runtime_error("bad encoder header");
-  }
+FeatureEncoder FeatureEncoder::load(BinReader& r) {
+  const std::uint32_t ncols = r.get_u32();
+  AIRCH_CHECK(ncols >= 1 && ncols <= kMaxColumns && ncols <= r.remaining() / kMinColumnBytes,
+              "corrupt encoder column count");
   FeatureEncoder enc;
   enc.columns_.resize(ncols);
   for (auto& c : enc.columns_) {
-    std::string kind;
-    std::size_t n = 0;
-    if (!(is >> kind >> c.mean >> c.stddev >> n)) throw std::runtime_error("bad encoder column");
-    c.exact = kind == "exact";
-    if (!c.exact && kind != "quantile") throw std::runtime_error("bad encoder column kind");
+    const std::uint32_t kind = r.get_u32();
+    AIRCH_CHECK(kind <= 1, "corrupt encoder column kind");
+    c.exact = kind == 1;
+    c.mean = r.get_f64();
+    c.stddev = r.get_f64();
+    AIRCH_CHECK(c.mean >= 0.0 && c.mean <= kMaxLogMoment, "corrupt encoder column mean");
+    AIRCH_CHECK(c.stddev >= kMinStddev && c.stddev <= kMaxLogMoment,
+                "corrupt encoder column deviation");
+    const std::uint32_t n = r.get_u32();
+    AIRCH_CHECK(n >= 1 && n <= kMaxKeys && n <= r.remaining() / 8, "corrupt encoder key count");
+    std::vector<std::int64_t> keys(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      keys[i] = r.get_i64();
+      AIRCH_CHECK(i == 0 || keys[i - 1] < keys[i], "encoder keys out of order");
+    }
     if (c.exact) {
       for (std::size_t i = 0; i < n; ++i) {
-        std::int64_t v;
-        std::int32_t idx;
-        if (!(is >> v >> idx)) throw std::runtime_error("bad encoder vocab entry");
-        c.value_to_index[v] = idx;
+        c.value_to_index.emplace_hint(c.value_to_index.end(), keys[i],
+                                      static_cast<std::int32_t>(i));
       }
     } else {
-      c.boundaries.resize(n);
-      for (auto& b : c.boundaries) {
-        if (!(is >> b)) throw std::runtime_error("bad encoder boundary");
-      }
+      c.boundaries = std::move(keys);
     }
   }
   return enc;

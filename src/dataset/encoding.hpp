@@ -16,7 +16,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <iosfwd>
 #include <map>
 #include <vector>
 
@@ -25,6 +24,9 @@
 #include "ml/matrix.hpp"
 
 namespace airch {
+
+class BinReader;
+class BinWriter;
 
 class FeatureEncoder {
  public:
@@ -70,14 +72,18 @@ class FeatureEncoder {
   ml::IntBatch encode_int_batch(const std::vector<std::vector<std::int64_t>>& queries) const;
   ml::Matrix encode_float_batch(const std::vector<std::vector<std::int64_t>>& queries) const;
 
-  /// Text serialization (used by Recommender::save/load).
-  void save(std::ostream& os) const;
-  static FeatureEncoder load(std::istream& is);
+  /// Binary serialization inside a model file (Recommender::save/load):
+  /// per column its kind, its log1p moments and its sorted keys. load()
+  /// checks every count against the bytes left before it sizes anything,
+  /// and throws ContractViolation on a column fit() could not produce.
+  void save(BinWriter& w) const;
+  static FeatureEncoder load(BinReader& r);
 
  private:
   FeatureEncoder() = default;  // for load()
   struct Column {
-    // Exact mode: value -> index. Quantile mode: sorted upper boundaries,
+    // Exact mode: value -> index, the indices numbering the values in
+    // ascending order. Quantile mode: strictly ascending upper boundaries,
     // bucket = index of first boundary >= value.
     bool exact = false;
     std::map<std::int64_t, std::int32_t> value_to_index;

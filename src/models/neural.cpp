@@ -1,18 +1,48 @@
 #include "models/neural.hpp"
 
 #include <algorithm>
-#include <istream>
 #include <numeric>
-#include <ostream>
 #include <stdexcept>
 
+#include "common/binio.hpp"
+#include "common/check.hpp"
 #include "dataset/binary_io.hpp"
 
 namespace airch {
 
 namespace {
 constexpr std::size_t kPredictChunk = 2048;
+
+/// Caps on the shape a loaded classifier may declare: far above any model
+/// here (12 inputs, one 256-wide hidden layer, 1944 classes), and small
+/// enough that no product of them overflows param_floats().
+constexpr std::uint32_t kMaxNameBytes = 256;
+constexpr std::uint32_t kMaxLayers = 64;
+constexpr std::uint64_t kMaxWidth = 1u << 20;  ///< hidden or embedding width
+constexpr std::uint32_t kMaxClasses = 1u << 24;
+constexpr std::uint64_t kMaxInputs = 4096;
+constexpr std::uint32_t kMaxVocab = 1u << 24;
+
+/// Floats in all parameter tensors of a net of this shape (embedding
+/// tables, then each dense layer's weights and bias), so a loaded shape
+/// can be checked against the bytes left before the net is allocated.
+std::uint64_t param_floats(const std::vector<int>& vocab, std::size_t embed_dim,
+                           std::size_t input_dim, const std::vector<std::size_t>& hidden,
+                           std::size_t classes) {
+  std::uint64_t total = 0;
+  std::uint64_t width = input_dim;
+  if (!vocab.empty()) {
+    for (int v : vocab) total += static_cast<std::uint64_t>(v) * embed_dim;
+    width = vocab.size() * embed_dim;
+  }
+  for (std::size_t h : hidden) {
+    total += width * h + h;
+    width = h;
+  }
+  return total + width * classes + classes;
 }
+
+}  // namespace
 
 template <typename ForEachChunk>
 std::vector<EpochStats> NeuralClassifier::train_epochs(int num_features, int num_classes,
@@ -169,69 +199,82 @@ void NeuralClassifier::build_net(std::size_t classes, std::size_t input_dim,
   }
 }
 
-void NeuralClassifier::save(std::ostream& os) const {
+bool NeuralClassifier::accepts(const FeatureEncoder& enc) const {
+  return net_ && static_cast<std::size_t>(enc.num_features()) == fitted_input_dim_ &&
+         (!uses_embedding() || enc.vocab_sizes() == fitted_vocab_);
+}
+
+void NeuralClassifier::save(BinWriter& w) const {
   if (!net_) throw std::logic_error("save before fit");
-  os << "neural-classifier v1\n";
-  os << name_ << '\n';
-  os.precision(17);
-  os << options_.embed_dim << ' ' << options_.hidden.size();
-  for (auto h : options_.hidden) os << ' ' << h;
-  os << ' ' << options_.learning_rate << ' ' << options_.dropout << ' ' << options_.seed << '\n';
-  os << net_->num_classes() << ' ' << fitted_input_dim_ << ' ' << fitted_vocab_.size();
-  for (auto v : fitted_vocab_) os << ' ' << v;
-  os << '\n';
-  // Weights, one tensor per line. float -> text round-trips exactly at
-  // max_digits10 = 9 significant digits.
-  os.precision(9);
+  w.put_u32(static_cast<std::uint32_t>(name_.size()));
+  w.put_bytes(name_.data(), name_.size());
+  w.put_u64(options_.embed_dim);
+  w.put_u32(static_cast<std::uint32_t>(options_.hidden.size()));
+  for (auto h : options_.hidden) w.put_u64(h);
+  w.put_f64(options_.learning_rate);
+  w.put_f64(options_.dropout);
+  w.put_u64(options_.seed);
+  w.put_u32(static_cast<std::uint32_t>(net_->num_classes()));
+  w.put_u64(fitted_input_dim_);
+  w.put_u32(static_cast<std::uint32_t>(fitted_vocab_.size()));
+  for (auto v : fitted_vocab_) w.put_i32(v);
   const auto params = std::as_const(*net_).params();
-  os << params.size() << '\n';
+  w.put_u32(static_cast<std::uint32_t>(params.size()));
   for (const auto& p : params) {
-    os << p.size;
-    for (std::size_t i = 0; i < p.size; ++i) os << ' ' << p.value[i];
-    os << '\n';
+    w.put_u64(p.size);
+    w.put_f32s(p.value, p.size);
   }
 }
 
-std::unique_ptr<NeuralClassifier> NeuralClassifier::load(std::istream& is) {
-  std::string magic, version;
-  if (!(is >> magic >> version) || magic != "neural-classifier" || version != "v1") {
-    throw std::runtime_error("bad neural-classifier header");
-  }
-  std::string name;
-  if (!(is >> name)) throw std::runtime_error("bad classifier name");
-  Options o;
-  std::size_t hidden_count = 0;
-  if (!(is >> o.embed_dim >> hidden_count)) throw std::runtime_error("bad architecture");
-  o.hidden.resize(hidden_count);
-  for (auto& h : o.hidden) {
-    if (!(is >> h)) throw std::runtime_error("bad hidden dims");
-  }
-  if (!(is >> o.learning_rate >> o.dropout >> o.seed)) {
-    throw std::runtime_error("bad hyperparameters");
-  }
+std::unique_ptr<NeuralClassifier> NeuralClassifier::load(BinReader& r) {
+  const std::uint32_t name_bytes = r.get_u32();
+  AIRCH_CHECK(name_bytes <= kMaxNameBytes && name_bytes <= r.remaining(),
+              "corrupt classifier name length");
+  std::string name(name_bytes, '\0');
+  r.get_bytes(name.data(), name_bytes);
 
-  std::size_t classes = 0, input_dim = 0, vocab_count = 0;
-  if (!(is >> classes >> input_dim >> vocab_count)) throw std::runtime_error("bad shape line");
+  Options o;
+  o.embed_dim = r.get_u64();
+  AIRCH_CHECK(o.embed_dim <= kMaxWidth, "corrupt embedding width");
+  const std::uint32_t layers = r.get_u32();
+  AIRCH_CHECK(layers <= kMaxLayers && layers <= r.remaining() / 8, "corrupt hidden layer count");
+  o.hidden.resize(layers);
+  for (auto& h : o.hidden) {
+    h = r.get_u64();
+    AIRCH_CHECK(h >= 1 && h <= kMaxWidth, "corrupt hidden width");
+  }
+  o.learning_rate = r.get_f64();
+  o.dropout = r.get_f64();
+  AIRCH_CHECK(o.dropout >= 0.0 && o.dropout < 1.0, "corrupt dropout rate");
+  o.seed = r.get_u64();
+
+  const std::uint32_t classes = r.get_u32();
+  AIRCH_CHECK(classes >= 1 && classes <= kMaxClasses, "corrupt classifier class count");
+  const std::uint64_t input_dim = r.get_u64();
+  AIRCH_CHECK(input_dim >= 1 && input_dim <= kMaxInputs, "corrupt classifier input width");
+  const std::uint32_t vocab_count = r.get_u32();
+  // An embedding net has one table per input; a float net has none.
+  AIRCH_CHECK(vocab_count == (o.embed_dim > 0 ? input_dim : 0),
+              "classifier vocab count does not match its input");
+  AIRCH_CHECK(vocab_count <= r.remaining() / 4, "truncated vocab sizes");
   std::vector<int> vocab(vocab_count);
   for (auto& v : vocab) {
-    if (!(is >> v)) throw std::runtime_error("bad vocab sizes");
+    v = r.get_i32();
+    AIRCH_CHECK(v >= 1 && static_cast<std::uint32_t>(v) <= kMaxVocab, "corrupt vocab size");
   }
+  AIRCH_CHECK(param_floats(vocab, o.embed_dim, input_dim, o.hidden, classes) <= r.remaining() / 4,
+              "classifier tensors exceed the file size");
 
-  auto clf = std::make_unique<NeuralClassifier>(name, o);
+  auto clf = std::make_unique<NeuralClassifier>(std::move(name), o);
   clf->fitted_input_dim_ = input_dim;
-  clf->fitted_vocab_ = vocab;
-  clf->build_net(classes, input_dim, vocab);
+  clf->fitted_vocab_ = std::move(vocab);
+  clf->build_net(classes, input_dim, clf->fitted_vocab_);
 
-  std::size_t param_count = 0;
-  if (!(is >> param_count)) throw std::runtime_error("bad parameter count");
-  auto params = clf->net_->params();
-  if (params.size() != param_count) throw std::runtime_error("parameter tensor count mismatch");
+  const auto params = clf->net_->params();
+  AIRCH_CHECK(r.get_u32() == params.size(), "classifier tensor count does not match its shape");
   for (const auto& p : params) {
-    std::size_t size = 0;
-    if (!(is >> size) || size != p.size) throw std::runtime_error("parameter size mismatch");
-    for (std::size_t i = 0; i < p.size; ++i) {
-      if (!(is >> p.value[i])) throw std::runtime_error("truncated weights");
-    }
+    AIRCH_CHECK(r.get_u64() == p.size, "classifier tensor size does not match its shape");
+    r.get_f32s(p.value, p.size);
   }
   return clf;
 }

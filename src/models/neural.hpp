@@ -6,7 +6,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <iosfwd>
 #include <memory>
 #include <string>
 #include <utility>
@@ -18,6 +17,8 @@
 namespace airch {
 
 class BatchStream;
+class BinReader;
+class BinWriter;
 
 class NeuralClassifier final : public Classifier {
  public:
@@ -67,11 +68,22 @@ class NeuralClassifier final : public Classifier {
 
   const Options& options() const { return options_; }
 
-  /// Text serialization of the fitted network (architecture + weights).
-  /// Throws std::logic_error before fit().
-  void save(std::ostream& os) const;
-  /// Rebuilds a fitted classifier saved with save().
-  static std::unique_ptr<NeuralClassifier> load(std::istream& is);
+  /// Output classes of the fitted net; 0 before fit().
+  std::size_t num_classes() const { return net_ ? net_->num_classes() : 0; }
+  /// Whether `enc` encodes the input the fitted net reads: as many columns
+  /// as the net's input and, for an embedding net, each column's vocab
+  /// equal to its table's. False before fit().
+  bool accepts(const FeatureEncoder& enc) const;
+
+  /// Binary serialization of the fitted network inside a model file:
+  /// name, architecture, fitted shape, then each parameter tensor as raw
+  /// little-endian float32. Throws std::logic_error before fit().
+  void save(BinWriter& w) const;
+  /// Rebuilds a fitted classifier saved with save(). Every count and width
+  /// is checked against a hard cap, and the tensors the shape implies
+  /// against the bytes left, before the net is allocated; corruption
+  /// throws ContractViolation.
+  static std::unique_ptr<NeuralClassifier> load(BinReader& r);
 
  private:
   bool uses_embedding() const { return options_.embed_dim > 0; }

@@ -3,6 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <string>
+
+#include "common/binio.hpp"
 #include "ml/dropout.hpp"
 #include "models/neural.hpp"
 #include "workload/model_zoo.hpp"
@@ -122,9 +126,15 @@ TEST(DropoutClassifier, SerializationRoundTrips) {
   const Dataset train = tiny_task(300, 7);
   const FeatureEncoder enc(train);
   clf.fit(train, {}, enc);
-  std::stringstream ss;
-  clf.save(ss);
-  auto loaded = NeuralClassifier::load(ss);
+  const std::string path = ::testing::TempDir() + "dropout_io.bin";
+  {
+    BinWriter w(path);
+    clf.save(w);
+  }
+  BinReader r(path);
+  auto loaded = NeuralClassifier::load(r);
+  EXPECT_EQ(r.remaining(), 0u);
+  std::remove(path.c_str());
   const Dataset test = tiny_task(100, 8);
   EXPECT_EQ(loaded->predict(test, enc), clf.predict(test, enc));
   EXPECT_DOUBLE_EQ(loaded->options().dropout, 0.25);

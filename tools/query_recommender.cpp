@@ -15,7 +15,7 @@ int main(int argc, char** argv) {
   using namespace airch;
   ArgParser args("query_recommender", "one constant-time design query from a saved model");
   args.flag_str("model", "recommender.airch", "saved model path");
-  args.flag_i64("case", 1, "case study the model was trained for (1/2/3)");
+  args.flag_i64("case", 1, "case study the model was trained for (1/2/3)", 1, 3);
   args.flag_i64("M", 3136, "GEMM M");
   args.flag_i64("N", 64, "GEMM N");
   args.flag_i64("K", 576, "GEMM K");
@@ -36,42 +36,45 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  const auto case_num = args.i64("case");
-  if (case_num < 1 || case_num > 3) {
-    std::cerr << "--case must be 1, 2, or 3\n";
-    return 1;
-  }
-  const auto study = make_case_study(static_cast<CaseId>(case_num));
-  const Recommender rec = Recommender::load(args.str("model"), *study);
-  const GemmWorkload w{args.i64("M"), args.i64("N"), args.i64("K")};
+  // A model that cannot be loaded (missing, corrupt, or trained for
+  // another case study) and a query the model cannot answer both exit 1
+  // with the library's message.
+  try {
+    const auto study = make_case_study(static_cast<CaseId>(args.i64("case")));
+    const Recommender rec = Recommender::load(args.str("model"), *study);
+    const GemmWorkload w{args.i64("M"), args.i64("N"), args.i64("K")};
 
-  std::vector<std::int64_t> features;
-  switch (study->id()) {
-    case CaseId::kArrayDataflow:
-      features = {args.i64("budget_exp"), w.m, w.n, w.k};
-      break;
-    case CaseId::kBufferSizing:
-      features = {args.i64("limit_kb"), w.m, w.n, w.k, args.i64("rows"), args.i64("cols"),
-                  dataflow_index(dataflow_from_string(args.str("dataflow"))),
-                  args.i64("bandwidth")};
-      break;
-    case CaseId::kScheduling:
-      std::cerr << "case 3 queries need 4 workloads; use the multi_array_scheduler example\n";
-      return 1;
-  }
-
-  const auto labels = rec.recommend_topk(features, static_cast<int>(args.i64("topk")));
-  for (std::size_t i = 0; i < labels.size(); ++i) {
-    std::cout << (i == 0 ? "recommended: " : "     also #" + std::to_string(i + 1) + ": ");
-    if (study->id() == CaseId::kArrayDataflow) {
-      const auto* s1 = dynamic_cast<const ArrayDataflowStudy*>(study.get());
-      std::cout << s1->space().config(labels[i]).to_string() << '\n';
-    } else {
-      const auto* s2 = dynamic_cast<const BufferSizingStudy*>(study.get());
-      const MemoryConfig m = s2->space().config(labels[i]);
-      std::cout << "IFMAP " << m.ifmap_kb << " KB / Filter " << m.filter_kb << " KB / OFMAP "
-                << m.ofmap_kb << " KB\n";
+    std::vector<std::int64_t> features;
+    switch (study->id()) {
+      case CaseId::kArrayDataflow:
+        features = {args.i64("budget_exp"), w.m, w.n, w.k};
+        break;
+      case CaseId::kBufferSizing:
+        features = {args.i64("limit_kb"), w.m, w.n, w.k, args.i64("rows"), args.i64("cols"),
+                    dataflow_index(dataflow_from_string(args.str("dataflow"))),
+                    args.i64("bandwidth")};
+        break;
+      case CaseId::kScheduling:
+        std::cerr << "case 3 queries need 4 workloads; use the multi_array_scheduler example\n";
+        return 1;
     }
+
+    const auto labels = rec.recommend_topk(features, static_cast<int>(args.i64("topk")));
+    for (std::size_t i = 0; i < labels.size(); ++i) {
+      std::cout << (i == 0 ? "recommended: " : "     also #" + std::to_string(i + 1) + ": ");
+      if (study->id() == CaseId::kArrayDataflow) {
+        const auto* s1 = dynamic_cast<const ArrayDataflowStudy*>(study.get());
+        std::cout << s1->space().config(labels[i]).to_string() << '\n';
+      } else {
+        const auto* s2 = dynamic_cast<const BufferSizingStudy*>(study.get());
+        const MemoryConfig m = s2->space().config(labels[i]);
+        std::cout << "IFMAP " << m.ifmap_kb << " KB / Filter " << m.filter_kb << " KB / OFMAP "
+                  << m.ofmap_kb << " KB\n";
+      }
+    }
+  } catch (const std::exception& e) {
+    std::cerr << "query_recommender: " << e.what() << "\n";
+    return 1;
   }
   return 0;
 }
